@@ -13,8 +13,9 @@ of ``key = value`` lines (explicit flags win); ``--grid name=lo:hi:count``
 (inclusive linspace) or ``--grid name=v1,v2,...`` sweeps a parameter, and
 multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
-emitted in grid order no matter how many worker threads computed them, so
-repeated runs are byte-identical.
+computed one after another and emitted in grid order, so repeated runs are
+byte-identical.  ``--jobs`` (and the config key ``jobs``) is accepted for
+old command lines and ignored.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
@@ -28,9 +29,7 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -38,13 +37,7 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .geometry import (
-    BallPoint,
-    FiberAngle,
-    hermitian_inner,
-    hyperbolic_distance,
-    point_at_distance,
-)
+from .geometry import BallPoint, FiberAngle, hyperbolic_distance, point_at_distance
 from .kernels import (
     DIRECT_ROUTE_MIN_DISTANCE,
     AdsKernelQuery,
@@ -97,10 +90,6 @@ def _conv_point(raw: str) -> tuple[complex, ...]:
         raise UsageError(
             f"expected comma-separated complex coordinates, got {raw!r}"
         ) from None
-
-
-def _conv_str(raw: str) -> str:
-    return raw
 
 
 def _choice(*allowed: str) -> Callable[[str], str]:
@@ -176,7 +165,7 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
     },
     "verify": {
         "suite": _Param(
-            _conv_str, "all", help="'all' or comma list of " + ", ".join(DEFAULT_SUITES)
+            str, "all", help="'all' or comma list of " + ", ".join(DEFAULT_SUITES)
         ),
         "seed": _Param(_conv_int, 42, help="seed for the randomized operator samples"),
     },
@@ -191,31 +180,13 @@ _GRID_ORDER: dict[str, tuple[str, ...]] = {
 }
 
 _CSV_HEADERS: dict[str, tuple[str, ...]] = {
-    "eval-hyperbolic": ("t", "n", "x", "q"),
-    "eval-maass": ("t", "n", "kappa", "d", "re(v)", "im(v)", "route", "route_discrepancy"),
-    "eval-ads": (
-        "t",
-        "n",
-        "d",
-        "theta",
-        "re(s)",
-        "im(s)",
-        "series_terms_used",
-        "route_discrepancy",
-    ),
-    "identity": (
-        "identity",
-        "m",
-        "t",
-        "u",
-        "theta",
-        "k_terms",
-        "re(lhs)",
-        "im(lhs)",
-        "re(rhs)",
-        "im(rhs)",
-        "abs_diff",
-    ),
+    "eval-hyperbolic": _GRID_ORDER["eval-hyperbolic"] + ("q",),
+    "eval-maass": _GRID_ORDER["eval-maass"] + ("re(v)", "im(v)", "route", "route_discrepancy"),
+    "eval-ads": _GRID_ORDER["eval-ads"]
+    + ("re(s)", "im(s)", "series_terms_used", "route_discrepancy"),
+    "identity": ("identity",)
+    + _GRID_ORDER["identity"]
+    + ("k_terms", "re(lhs)", "im(lhs)", "re(rhs)", "im(rhs)", "abs_diff"),
 }
 
 
@@ -291,16 +262,12 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
         if not grid_entries:
             grid_entries = [s.strip() for s in config["grid"].split(";") if s.strip()]
         del config["grid"]
-    for key in ("output", "format", "jobs"):
+    config.pop("jobs", None)  # deprecated and ignored, like --jobs
+    for key in ("output", "format"):
         if key in config:
             raw = config.pop(key)
             if getattr(args, key, None) is None:
-                value: Any = raw
-                if key == "jobs":
-                    value = _conv_int(raw)
-                elif key == "format":
-                    value = _choice("csv", "json")(raw)
-                setattr(args, key, value)
+                setattr(args, key, _choice("csv", "json")(raw) if key == "format" else raw)
     known_anywhere = {k for table in _COMMAND_PARAMS.values() for k in table}
     for key, raw in config.items():
         if key not in params:
@@ -328,24 +295,15 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
             raise UsageError(f"duplicate grid for {name!r}")
         grids[name] = values
 
-    order = _GRID_ORDER.get(command, ())
-    value_lists: dict[str, list[Any]] = {}
-    for name in order:
-        if name in grids:
-            value_lists[name] = grids[name]
-        elif getattr(args, name, None) is not None:
-            value_lists[name] = [getattr(args, name)]
-        else:
-            value_lists[name] = [None]
-    return value_lists
+    return {
+        name: grids.get(name, [getattr(args, name)]) for name in _GRID_ORDER.get(command, ())
+    }
 
 
-def _grid_product(
-    value_lists: dict[str, list[Any]], order: Sequence[str]
-) -> list[dict[str, Any]]:
-    names = [n for n in order if n in value_lists]
-    combos = itertools.product(*(value_lists[n] for n in names))
-    return [dict(zip(names, combo)) for combo in combos]
+def _grid_product(value_lists: dict[str, list[Any]]) -> list[dict[str, Any]]:
+    """Cartesian product of the value lists, first column outermost."""
+    combos = itertools.product(*value_lists.values())
+    return [dict(zip(value_lists, combo)) for combo in combos]
 
 
 # ---------------------------------------------------------------------------
@@ -384,55 +342,24 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _write_json(payload: dict[str, Any], path: str | None) -> None:
+    with _out_stream(path) as out:
+        out.write(json.dumps(payload, indent=2, default=_json_default))
+        out.write("\n")
+
+
 def _emit_rows(
     command: str, rows: list[dict[str, Any]], fmt: str, path: str | None
 ) -> None:
+    if fmt == "json":
+        _write_json({"command": command, "rows": rows}, path)
+        return
     header = _CSV_HEADERS[command]
     with _out_stream(path) as out:
-        if fmt == "json":
-            payload = {"command": command, "rows": rows}
-            out.write(json.dumps(payload, indent=2, default=_json_default))
-            out.write("\n")
-        else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(row[name]) for name in header])
-
-
-def _resolve_jobs(args: argparse.Namespace, n_tasks: int) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = min(4, os.cpu_count() or 1)
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    return min(jobs, max(1, n_tasks))
-
-
-def _run_rows(
-    params_list: list[dict[str, Any]],
-    fn: Callable[..., dict[str, Any]],
-    jobs: int,
-) -> tuple[list[dict[str, Any]], list[tuple[dict[str, Any], ConvergenceError]]]:
-    """Evaluate rows (optionally threaded), preserving grid order."""
-    results: list[dict[str, Any] | None] = [None] * len(params_list)
-    failures: list[tuple[dict[str, Any], ConvergenceError]] = []
-    if jobs <= 1 or len(params_list) <= 1:
-        for i, p in enumerate(params_list):
-            try:
-                results[i] = fn(**p)
-            except ConvergenceError as exc:
-                failures.append((p, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, **p) for p in params_list]
-            for i, (p, future) in enumerate(zip(params_list, futures)):
-                try:
-                    results[i] = future.result()
-                except ConvergenceError as exc:
-                    failures.append((p, exc))
-    rows = [r for r in results if r is not None]
-    return rows, failures
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt_cell(row[name]) for name in header])
 
 
 def _report_failures(
@@ -449,70 +376,47 @@ def _report_failures(
 
 
 # ---------------------------------------------------------------------------
-# geometry resolution shared by eval-maass / eval-ads
+# eval subcommands: one pipeline, one row builder per command
+
+
+def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
+    return QuadratureConfig(
+        abs_tol=args.abs_tol, rel_tol=args.rel_tol, max_nodes=args.max_nodes
+    )
 
 
 def _resolve_points(
-    args: argparse.Namespace, n: int, d: float | None, grids_d: bool
-) -> tuple[BallPoint, BallPoint]:
-    """Build the point pair from --w/--y or from a distance along axis 1."""
+    args: argparse.Namespace, n: int, d: float
+) -> tuple[BallPoint, BallPoint, float]:
+    """The point pair from --w/--y, or at distance d along axis 1.
+
+    The third item is the distance a row reports: d as given, or the
+    distance of the --w/--y pair.
+    """
     w_raw, y_raw = args.w, args.y
-    if (w_raw is not None or y_raw is not None) and grids_d:
-        raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
     if w_raw is None and y_raw is None:
-        if d is None:
-            raise UsageError("give either --d or --w/--y")
-        return point_at_distance(d, n), BallPoint.origin(n)
+        return point_at_distance(d, n), BallPoint.origin(n), d
     w = BallPoint(w_raw) if w_raw is not None else BallPoint.origin(len(y_raw))
     y = BallPoint(y_raw) if y_raw is not None else BallPoint.origin(w.n)
     if w.n != n or y.n != n:
         raise UsageError(
             f"--w/--y have dimension {w.n}/{y.n} but n={n}; pass matching --n"
         )
-    return w, y
+    return w, y, hyperbolic_distance(w, y)
 
 
-def _points_given(args: argparse.Namespace) -> bool:
-    return args.w is not None or args.y is not None
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def _handle_eval_hyperbolic(args: argparse.Namespace) -> int:
-    value_lists = _merge_options(args, "eval-hyperbolic")
-    params_list = _grid_product(value_lists, _GRID_ORDER["eval-hyperbolic"])
-
+def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
     def row(t: float, n: int, x: float) -> dict[str, Any]:
-        q = hyperbolic_heat_kernel(t, n, x)
-        return {"t": t, "n": n, "x": x, "q": float(q)}
+        return {"t": t, "n": n, "x": x, "q": float(hyperbolic_heat_kernel(t, n, x))}
 
-    jobs = _resolve_jobs(args, len(params_list))
-    rows, failures = _run_rows(params_list, row, jobs)
-    _emit_rows("eval-hyperbolic", rows, args.format or "csv", args.output)
-    if failures:
-        _report_failures(failures, len(params_list))
-        return 3
-    return 0
+    return row
 
 
-def _handle_eval_maass(args: argparse.Namespace) -> int:
-    value_lists = _merge_options(args, "eval-maass")
-    grids_d = len(value_lists["d"]) > 1
-    quad = QuadratureConfig(
-        abs_tol=args.abs_tol, rel_tol=args.rel_tol, max_nodes=args.max_nodes
-    )
-    params_list = _grid_product(value_lists, _GRID_ORDER["eval-maass"])
-    use_points = _points_given(args)
-    if use_points and grids_d:
-        raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
+def _maass_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
+    quad = _quad_config(args)
 
     def row(t: float, n: int, kappa: float, d: float) -> dict[str, Any]:
-        if use_points:
-            w, y = _resolve_points(args, n, None, False)
-        else:
-            w, y = _resolve_points(args, n, d, False)
+        w, y, shown_d = _resolve_points(args, n, d)
         query = MaassKernelQuery(t, n, kappa, w, y)
         dist = hyperbolic_distance(w, y)
         direct = maass_kernel_direct(query, quad)
@@ -523,52 +427,35 @@ def _handle_eval_maass(args: argparse.Namespace) -> int:
             "t": t,
             "n": n,
             "kappa": kappa,
-            "d": dist if use_points else d,
+            "d": shown_d,
             "re(v)": v.real,
             "im(v)": v.imag,
             "route": route,
             "route_discrepancy": abs(direct - substituted),
         }
 
-    jobs = _resolve_jobs(args, len(params_list))
-    rows, failures = _run_rows(params_list, row, jobs)
-    _emit_rows("eval-maass", rows, args.format or "csv", args.output)
-    if failures:
-        _report_failures(failures, len(params_list))
-        return 3
-    return 0
+    return row
 
 
-def _handle_eval_ads(args: argparse.Namespace) -> int:
-    value_lists = _merge_options(args, "eval-ads")
-    grids_d = len(value_lists["d"]) > 1
-    quad = QuadratureConfig(
-        abs_tol=args.abs_tol, rel_tol=args.rel_tol, max_nodes=args.max_nodes
-    )
+def _ads_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
+    quad = _quad_config(args)
     series_cfg = SeriesConfig(eps_tail=args.eps_tail, k_max_override=args.k_max)
-    params_list = _grid_product(value_lists, _GRID_ORDER["eval-ads"])
-    use_points = _points_given(args)
-    if use_points and grids_d:
-        raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
     report_theorem = args.normalization == "theorem"
 
     def row(t: float, n: int, d: float, theta: float) -> dict[str, Any]:
-        if use_points:
-            w, y = _resolve_points(args, n, None, False)
-        else:
-            w, y = _resolve_points(args, n, d, False)
+        w, y, shown_d = _resolve_points(args, n, d)
         query = AdsKernelQuery(t, n, w, y, FiberAngle(theta % TWO_PI))
         dist = hyperbolic_distance(w, y)
         detail = ads_kernel_series_detail(query, series_cfg, quad)
-        z = 1.0 - hermitian_inner(w, y)
-        theta_eff = query.theta.theta + math.atan2(z.imag, z.real)
-        integral = ads_kernel_integral(t, n, dist, theta_eff % TWO_PI, series_cfg, quad)
+        integral = ads_kernel_integral(
+            t, n, dist, query.theta_eff % TWO_PI, series_cfg, quad
+        )
         series_over_2pi = detail.value / TWO_PI
         s = series_over_2pi if report_theorem else detail.value
         return {
             "t": t,
             "n": n,
-            "d": dist if use_points else d,
+            "d": shown_d,
             "theta": query.theta.theta,
             "re(s)": s.real,
             "im(s)": s.imag,
@@ -576,9 +463,37 @@ def _handle_eval_ads(args: argparse.Namespace) -> int:
             "route_discrepancy": abs(complex(integral) - series_over_2pi),
         }
 
-    jobs = _resolve_jobs(args, len(params_list))
-    rows, failures = _run_rows(params_list, row, jobs)
-    _emit_rows("eval-ads", rows, args.format or "csv", args.output)
+    return row
+
+
+_ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., dict[str, Any]]]] = {
+    "eval-hyperbolic": _hyperbolic_rows,
+    "eval-maass": _maass_rows,
+    "eval-ads": _ads_rows,
+}
+
+
+def _handle_eval(args: argparse.Namespace) -> int:
+    """Merge options, build the grid, evaluate rows in order, emit them.
+
+    A row that does not converge is left out and listed on stderr; the
+    exit code is then 3.
+    """
+    command = args.command
+    value_lists = _merge_options(args, command)
+    points_given = getattr(args, "w", None) is not None or getattr(args, "y", None) is not None
+    if points_given and len(value_lists["d"]) > 1:
+        raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
+    row = _ROW_BUILDERS[command](args)
+    params_list = _grid_product(value_lists)
+    rows: list[dict[str, Any]] = []
+    failures: list[tuple[dict[str, Any], ConvergenceError]] = []
+    for p in params_list:
+        try:
+            rows.append(row(**p))
+        except ConvergenceError as exc:
+            failures.append((p, exc))
+    _emit_rows(command, rows, args.format or "csv", args.output)
     if failures:
         _report_failures(failures, len(params_list))
         return 3
@@ -600,14 +515,7 @@ def _handle_identity(args: argparse.Namespace) -> int:
             raise UsageError(f"polynomial degree m must be >= 0, got {m}")
 
     rows: list[dict[str, Any]] = []
-    blank = {
-        "identity": None,
-        "m": None,
-        "t": None,
-        "u": None,
-        "theta": None,
-        "k_terms": None,
-    }
+    blank = dict.fromkeys(("identity", "m", "t", "u", "theta", "k_terms"))
     if which in ("both", "gauss-cosh"):
         for m in m_values:
             for u in value_lists["u"]:
@@ -668,13 +576,8 @@ def _handle_verify(args: argparse.Namespace) -> int:
         if not suites:
             raise UsageError("empty --suite selection")
 
-    jobs = _resolve_jobs(args, len(suites))
-    if jobs > 1 and len(suites) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_default_suite, (s,), args.seed) for s in suites]
-            outcomes = [outcome for f in futures for outcome in f.result()]
-    else:
-        outcomes = run_default_suite(suites, args.seed)
+    # one suite at a time, in the order given
+    outcomes = [o for s in suites for o in run_default_suite((s,), args.seed)]
 
     report: dict[str, Any] = {"suite": suite_label}
     if args.timestamp:
@@ -691,9 +594,7 @@ def _handle_verify(args: argparse.Namespace) -> int:
         }
         for o in outcomes
     ]
-    with _out_stream(args.output) as out:
-        out.write(json.dumps(report, indent=2, default=_json_default))
-        out.write("\n")
+    _write_json(report, args.output)
     if not report["all_passed"]:
         failed = [o.name for o in outcomes if not o.passed]
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -724,9 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify": "run the residual check battery and emit a JSON report",
     }
     handlers = {
-        "eval-hyperbolic": _handle_eval_hyperbolic,
-        "eval-maass": _handle_eval_maass,
-        "eval-ads": _handle_eval_ads,
+        **dict.fromkeys(_ROW_BUILDERS, _handle_eval),
         "identity": _handle_identity,
         "verify": _handle_verify,
     }
@@ -753,7 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="csv (default) or json" if command != "verify" else "json only",
         )
-        sub.add_argument("--jobs", type=int, default=None, help="worker threads")
+        sub.add_argument(
+            "--jobs", type=int, default=None, help="ignored (deprecated); rows run in order"
+        )
         if command == "verify":
             sub.add_argument(
                 "--timestamp",
@@ -769,9 +670,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConfigurationError as exc:
         hint = ""
         if exc.suggested_step is not None:
@@ -781,7 +679,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: computation did not converge: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,10 @@ the origin is ``arctanh|w|``).  The circle fiber of the associated unit
 circle bundle is parametrized by an angle theta, stored canonically in
 ``[0, 2*pi)``.
 
-The three quantities every kernel in this package consumes are computed
-here: the Hermitian pairing of two ball points, the Bergman hyperbolic
-distance, and the unimodular twist factor attached to a half-integer spin
-weight.
+The quantities every kernel in this package consumes are computed here:
+the Hermitian pairing of two ball points, the Bergman hyperbolic distance
+(also for arrays of disc points), the twist angle of a pair, and the
+unimodular twist factor attached to a half-integer spin weight.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,16 +170,36 @@ def hyperbolic_distance(w: BallPoint, y: BallPoint) -> float:
     return math.acosh(math.sqrt(c2))
 
 
+def disc_distance(w: np.ndarray, y: complex) -> np.ndarray:
+    """Bergman distances from an array of disc points ``w`` (n = 1) to ``y``.
+
+    The elementwise form of :func:`hyperbolic_distance`: ``cosh^2`` is
+    ``|1 - w conj(y)|^2 / ((1 - |w|^2)(1 - |y|^2))``, clamped up to 1.
+    Every ``w`` must lie inside the disc.
+    """
+    z = 1.0 - w * np.conjugate(y)
+    cosh_sq = (z * z.conjugate()).real / (
+        (1.0 - (w * w.conjugate()).real) * (1.0 - abs(y) ** 2)
+    )
+    return np.arccosh(np.sqrt(np.maximum(cosh_sq, 1.0)))
+
+
+def twist_angle(w: BallPoint, y: BallPoint) -> float:
+    """``Arg(1 - <w,y>)``, the angle by which the pair twists the fiber.
+
+    ``Re(1 - <w,y>) > 0`` on the ball, so the angle lies in ``(-pi/2, pi/2)``.
+    """
+    z = 1.0 - hermitian_inner(w, y)
+    return math.atan2(z.imag, z.real)
+
+
 def phase_factor(w: BallPoint, y: BallPoint, kappa: float) -> complex:
     """Unimodular twist attached to spin weight ``kappa``.
 
     Equals ``((1 - <w,y>) / (1 - <y,w>))^(-kappa)`` evaluated through the
-    principal argument: ``exp(-2i * kappa * Arg(1 - <w,y>))``.  Since
-    ``Re(1 - <w,y>) > 0`` on the ball, the argument lies in
-    ``(-pi/2, pi/2)`` and the half-integer power is single valued.
+    principal argument: ``exp(-2i * kappa * Arg(1 - <w,y>))``.  The
+    argument lies in ``(-pi/2, pi/2)`` (see :func:`twist_angle`), so the
+    half-integer power is single valued.
     """
     kappa = require_half_integer(kappa)
-    _require_same_dim(w, y)
-    z = 1.0 - hermitian_inner(w, y)
-    arg = math.atan2(z.imag, z.real)
-    return cmath.exp(complex(0.0, -2.0 * kappa * arg))
+    return cmath.exp(complex(0.0, -2.0 * kappa * twist_angle(w, y)))

@@ -46,17 +46,19 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .geometry import (
     BallPoint,
     FiberAngle,
-    hermitian_inner,
     hyperbolic_distance,
     phase_factor,
     require_half_integer,
+    twist_angle,
 )
 from .quadrature import (
     ConvergenceError,
@@ -65,6 +67,8 @@ from .quadrature import (
     gauss_legendre_rule,
 )
 from .radial_heat import (
+    _validate_n,
+    _validate_t,
     hyperbolic_heat_kernel,
     hyperbolic_heat_kernel_scaled,
 )
@@ -95,17 +99,39 @@ MAX_FIBER_MODES = 256
 _UNDAMPED_EXP_LIMIT = 690.0
 
 
-def _validate_t(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"time must be finite and > 0, got {t!r}")
-    return t
+def _undamped_mode(t: float, kappa: float) -> int:
+    """Mode number m = 2|kappa|, after checking e^{t m^2} fits in a double."""
+    m = int(round(2.0 * abs(kappa)))
+    if t * m * m > _UNDAMPED_EXP_LIMIT:
+        raise ValueError(
+            f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
+            "exceeds double-precision range; only the damped fiber series "
+            "is computable this deep"
+        )
+    return m
 
 
-def _validate_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"complex dimension n must be an integer >= 1, got {n!r}")
-    return int(n)
+@contextmanager
+def _labelled(label: str) -> Iterator[None]:
+    """Prefix a ConvergenceError raised inside the block with ``label``."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"{label}: {exc}", value=exc.value, error_estimate=exc.error_estimate
+        ) from exc
+
+
+def _validate_query(query) -> None:
+    """Coerce and check the (t, n, w, y) fields every kernel query carries."""
+    object.__setattr__(query, "t", _validate_t(query.t))
+    object.__setattr__(query, "n", _validate_n(query.n))
+    if not isinstance(query.w, BallPoint) or not isinstance(query.y, BallPoint):
+        raise ValueError("w and y must be BallPoint instances")
+    if query.w.n != query.n or query.y.n != query.n:
+        raise ValueError(
+            f"points have dimension {query.w.n}/{query.y.n}, query says n={query.n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,15 +145,8 @@ class MaassKernelQuery:
     y: BallPoint
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _validate_t(self.t))
-        object.__setattr__(self, "n", _validate_n(self.n))
+        _validate_query(self)
         object.__setattr__(self, "kappa", require_half_integer(self.kappa))
-        if not isinstance(self.w, BallPoint) or not isinstance(self.y, BallPoint):
-            raise ValueError("w and y must be BallPoint instances")
-        if self.w.n != self.n or self.y.n != self.n:
-            raise ValueError(
-                f"points have dimension {self.w.n}/{self.y.n}, query says n={self.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -141,16 +160,14 @@ class AdsKernelQuery:
     theta: FiberAngle
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _validate_t(self.t))
-        object.__setattr__(self, "n", _validate_n(self.n))
-        if not isinstance(self.w, BallPoint) or not isinstance(self.y, BallPoint):
-            raise ValueError("w and y must be BallPoint instances")
-        if self.w.n != self.n or self.y.n != self.n:
-            raise ValueError(
-                f"points have dimension {self.w.n}/{self.y.n}, query says n={self.n}"
-            )
+        _validate_query(self)
         if not isinstance(self.theta, FiberAngle):
             object.__setattr__(self, "theta", FiberAngle(self.theta))
+
+    @property
+    def theta_eff(self) -> float:
+        """``theta + Arg(1 - <w,y>)``: the fiber angle the mode phases see."""
+        return self.theta.theta + twist_angle(self.w, self.y)
 
 
 @dataclass(frozen=True)
@@ -204,26 +221,43 @@ def _mode_u_max(t: float, m: int, abs_tol: float) -> float:
     return 2.0 * t * m + 2.0 * math.sqrt(t * (t * m * m + r))
 
 
+def _fiber_distance(cosh_u, cosh_d):
+    """x(u) = arccosh(cosh u * cosh d), the distance along the substitution."""
+    return np.arccosh(cosh_u * cosh_d)
+
+
+def _cosh_modes(t: float, m: int, u, x, shift: float = 0.0):
+    """``exp(m u - g) + exp(-m u - g)`` with ``g = x^2/(4t) + shift``.
+
+    Times ``hyperbolic_heat_kernel_scaled(t, n, x)`` this is
+    ``q_t(x) * 2 cosh(m u) * exp(-shift)``, formed so the Gaussian of q_t
+    and the growing cosh never meet as separate factors.  Callers form the
+    q_scaled factor themselves: when this helper also formed and freed it,
+    each chunk of :func:`maass_radial_profile` faulted its large
+    temporaries in anew (1.6x the page faults of the semigroup check) and
+    ``adsheat verify`` ran 15-25% slower on one CPU of a 2-vCPU VM.
+    """
+    g = x * x / (4.0 * t) + shift
+    return np.exp(m * u - g) + np.exp(-m * u - g)
+
+
 def _cosh_mode_integral(
     t: float, n: int, m: int, d: float, cfg: QuadratureConfig, *, damp: bool
 ) -> float:
     """2 * int_0^u_max q_t(x(u)) cosh(m u) du, optionally times e^{-t m^2}.
 
-    x(u) = arccosh(cosh u * cosh d).  Written as
-    ``q_scaled(x) * (exp(m u - g) + exp(-m u - g))`` with
-    ``g = x^2/(4t) [+ t m^2 if damped]``, so with damping the exponents are
-    globally <= 0 [m u - x^2/4t - t m^2 = -(u - 2tm)^2/4t - (x^2 - u^2)/4t]
-    and nothing overflows for any mode.
+    x(u) = arccosh(cosh u * cosh d).  Damping shifts the exponents of
+    :func:`_cosh_modes` by t m^2, which makes them globally <= 0
+    [m u - x^2/4t - t m^2 = -(u - 2tm)^2/4t - (x^2 - u^2)/4t], so nothing
+    overflows for any mode.
     """
     shift = t * m * m if damp else 0.0
     cosh_d = math.cosh(d)
     u_max = cfg.u_max_override or _mode_u_max(t, m, cfg.abs_tol)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        x = np.arccosh(np.cosh(u) * cosh_d)
-        g = x * x / (4.0 * t) + shift
-        s = hyperbolic_heat_kernel_scaled(t, n, x)
-        return s * (np.exp(m * u - g) + np.exp(-m * u - g))
+        x = _fiber_distance(np.cosh(u), cosh_d)
+        return hyperbolic_heat_kernel_scaled(t, n, x) * _cosh_modes(t, m, u, x, shift)
 
     res = adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg)
     return float(np.real(res.value))
@@ -241,13 +275,7 @@ def maass_kernel_substituted(
     """
     cfg = config or QuadratureConfig()
     t, n = query.t, query.n
-    m = int(round(2.0 * abs(query.kappa)))
-    if t * m * m > _UNDAMPED_EXP_LIMIT:
-        raise ValueError(
-            f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
-            "exceeds double-precision range; only the damped fiber series "
-            "is computable this deep"
-        )
+    m = _undamped_mode(t, query.kappa)
     d = hyperbolic_distance(query.w, query.y)
     phase = phase_factor(query.w, query.y, query.kappa)
     return phase * _cosh_mode_integral(t, n, m, d, cfg, damp=False)
@@ -270,12 +298,7 @@ def maass_kernel_direct(
     d = hyperbolic_distance(query.w, query.y)
     if d < DIRECT_ROUTE_MIN_DISTANCE:
         return maass_kernel_substituted(query, config)
-    m = int(round(2.0 * abs(kappa)))
-    if t * m * m > _UNDAMPED_EXP_LIMIT:
-        raise ValueError(
-            f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
-            "exceeds double-precision range"
-        )
+    m = _undamped_mode(t, kappa)
     phase = phase_factor(query.w, query.y, kappa)
     x_max = d + _mode_u_max(t, m, cfg.abs_tol)
     r_max = math.sqrt(x_max - d)
@@ -316,10 +339,7 @@ def maass_radial_profile(
     """
     t = _validate_t(t)
     n = _validate_n(n)
-    kappa = require_half_integer(kappa)
-    m = int(round(2.0 * abs(kappa)))
-    if t * m * m > _UNDAMPED_EXP_LIMIT:
-        raise ValueError("kernel magnitude exceeds double-precision range")
+    m = _undamped_mode(t, require_half_integer(kappa))
     d = np.asarray(d_values, dtype=float)
     scalar_in = d.ndim == 0
     d = np.atleast_1d(d)
@@ -334,10 +354,9 @@ def maass_radial_profile(
     out = np.empty(d.shape)
     for lo in range(0, d.size, chunk_rows):
         dc = d[lo : lo + chunk_rows]
-        x = np.arccosh(np.cosh(dc)[:, None] * cosh_u[None, :])
-        g = x * x / (4.0 * t)
+        x = _fiber_distance(cosh_u[None, :], np.cosh(dc)[:, None])
         s = hyperbolic_heat_kernel_scaled(t, n, x)
-        modes = np.exp(m * u[None, :] - g) + np.exp(-m * u[None, :] - g)
+        modes = _cosh_modes(t, m, u[None, :], x)
         out[lo : lo + chunk_rows] = (s * modes) @ wts
     if scalar_in:
         return float(out[0])
@@ -375,15 +394,10 @@ def ads_kernel_series_detail(
     q_cfg = quad_config or QuadratureConfig()
     t, n = query.t, query.n
     d = hyperbolic_distance(query.w, query.y)
-    z = 1.0 - hermitian_inner(query.w, query.y)
-    theta_eff = query.theta.theta + math.atan2(z.imag, z.real)
+    theta_eff = query.theta_eff
 
-    try:
+    with _labelled("fiber mode k=0"):
         v0 = _cosh_mode_integral(t, n, 0, d, q_cfg, damp=False)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"fiber mode k=0: {exc}", value=exc.value, error_estimate=exc.error_estimate
-        ) from exc
     log_c = math.log(abs(v0) + 1.0)
 
     k_base = _baseline_mode_count(t, v0, s_cfg.eps_tail)
@@ -396,14 +410,8 @@ def ads_kernel_series_detail(
     k = 0
     while k < k_cap:
         k += 1
-        try:
+        with _labelled(f"fiber mode k={k}"):
             damped = _cosh_mode_integral(t, n, k, d, q_cfg, damp=True)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"fiber mode k={k}: {exc}",
-                value=exc.value,
-                error_estimate=exc.error_estimate,
-            ) from exc
         pair = 2.0 * math.cos(k * theta_eff) * damped
         total += pair
         last_pair = 2.0 * abs(damped)
@@ -477,11 +485,8 @@ def ads_kernel_integral(
     cosh_d = math.cosh(d)
     inv_norm = 1.0 / math.sqrt(4.0 * math.pi * t)
 
-    def x_of(u: np.ndarray) -> np.ndarray:
-        return np.arccosh(np.cosh(u) * cosh_d)
-
     def envelope(u: np.ndarray) -> np.ndarray:
-        x = x_of(u)
+        x = _fiber_distance(np.cosh(u), cosh_d)
         return hyperbolic_heat_kernel_scaled(t, n, x) * np.exp(
             (u * u - x * x) / (4.0 * t)
         )
@@ -500,19 +505,12 @@ def ads_kernel_integral(
         theta_k = theta.theta + 2.0 * math.pi * k
 
         def integrand(u: np.ndarray) -> np.ndarray:
-            x = x_of(u)
+            x = _fiber_distance(np.cosh(u), cosh_d)
             expo = ((u - 1j * theta_k) ** 2 - x * x) / (4.0 * t)
             return hyperbolic_heat_kernel_scaled(t, n, x) * np.exp(expo)
 
-        try:
-            res = adaptive_gauss_kronrod(integrand, -u_max, u_max, q_cfg)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"shifted copy k={k}: {exc}",
-                value=exc.value,
-                error_estimate=exc.error_estimate,
-            ) from exc
-        return res.value
+        with _labelled(f"shifted copy k={k}"):
+            return adaptive_gauss_kronrod(integrand, -u_max, u_max, q_cfg).value
 
     def mode_bound(k: int) -> float:
         theta_k = theta.theta + 2.0 * math.pi * k

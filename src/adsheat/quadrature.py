@@ -12,6 +12,7 @@ nodes and must return an array of matching length (real or complex).
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -64,7 +65,8 @@ class IntegrationResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the node budget is exhausted before the tolerance is met.
+    """Raised when the node budget is exhausted before the tolerance is met,
+    or when the integrand yields a non-finite value.
 
     Carries the best available estimate so callers can report partial
     results instead of losing them.
@@ -146,7 +148,8 @@ def adaptive_gauss_kronrod(
     """Integrate a vectorized integrand over [a, b] to the configured tolerance.
 
     Raises :class:`ConvergenceError` (with the best estimate attached) if
-    ``config.max_nodes`` evaluations are not enough.
+    ``config.max_nodes`` evaluations are not enough or the running value or
+    error estimate stops being finite.
     """
     cfg = config or QuadratureConfig()
     a = float(a)
@@ -158,26 +161,40 @@ def adaptive_gauss_kronrod(
     if initial_panels < 1:
         raise ValueError("initial_panels must be >= 1")
 
-    edges = np.linspace(a, b, initial_panels + 1)
     heap: list[tuple[float, int, float, float, complex]] = []
-    counter = 0
     total = 0.0 + 0.0j
     total_err = 0.0
-    n_evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    evaluated = 0  # panels evaluated so far; also the heap's tie-breaker
+
+    def add_panel(lo: float, hi: float) -> None:
+        nonlocal total, total_err, evaluated
         val, err = _panel_estimate(f, lo, hi)
-        n_evals += _NODES_PER_PANEL
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
-        counter += 1
+        heapq.heappush(heap, (-err, evaluated, lo, hi, val))
+        evaluated += 1
 
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if n_evals + 2 * _NODES_PER_PANEL > cfg.max_nodes:
+    edges = np.linspace(a, b, initial_panels + 1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        add_panel(lo, hi)
+
+    while True:
+        # a NaN estimate compares False against any tolerance and would be
+        # accepted as converged; a non-finite total never recovers either
+        if not (cmath.isfinite(total) and math.isfinite(total_err)):
+            raise ConvergenceError(
+                f"integrand produced a non-finite value (running value {total}, "
+                f"error estimate {total_err})",
+                value=total,
+                error_estimate=total_err,
+            )
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if total_err <= target:
+            break
+        if _NODES_PER_PANEL * (evaluated + 2) > cfg.max_nodes:
             raise ConvergenceError(
                 f"quadrature budget of {cfg.max_nodes} nodes exhausted at "
-                f"error estimate {total_err:.3e} (target "
-                f"{max(cfg.abs_tol, cfg.rel_tol * abs(total)):.3e})",
+                f"error estimate {total_err:.3e} (target {target:.3e})",
                 value=total,
                 error_estimate=total_err,
             )
@@ -185,16 +202,11 @@ def adaptive_gauss_kronrod(
         total -= val
         total_err += neg_err  # neg_err is -err
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            v, e = _panel_estimate(f, *seg)
-            n_evals += _NODES_PER_PANEL
-            total += v
-            total_err += e
-            heapq.heappush(heap, (-e, counter, seg[0], seg[1], v))
-            counter += 1
+        add_panel(lo, mid)
+        add_panel(mid, hi)
 
     value = total if total.imag != 0.0 else total.real
-    return IntegrationResult(value, total_err, n_evals, len(heap))
+    return IntegrationResult(value, total_err, _NODES_PER_PANEL * evaluated, len(heap))
 
 
 def gauss_legendre_rule(

@@ -60,9 +60,13 @@ GAUSS_EXP_CUTOFF = 700.0
 def small_x_threshold(n: int) -> float:
     """Below this x the order-n term sum is evaluated by interpolation.
 
-    Chosen so that at the first sample node (placed exactly at the
-    threshold) the cancellation noise of direct summation, which scales
-    like eps * x^(1 - 2n), is already below ~1e-10 of the sum.
+    At the first sample node (placed exactly at the threshold) the
+    cancellation noise of direct summation, which scales like
+    eps * x^(1 - 2n), must stay small next to the sum.  Accuracy still
+    falls with n: against a 60-digit mpmath oracle over t in [0.3, 3] and
+    x in [0, 3 * threshold], the worst relative errors found were 1.4e-15
+    (n = 1), 3.0e-11 (n = 2), 5.4e-10 (n = 3), 1.9e-8 (n = 4) and 5.9e-7
+    (n = 5).
     """
     if n <= 1:
         return 1e-3
@@ -211,20 +215,26 @@ def _interp_small_x(n: int, t: float, x: np.ndarray, scaled: bool) -> np.ndarray
     return out
 
 
-def _validate_t_n(t: float, n: int) -> tuple[float, int]:
+def _validate_t(t: float) -> float:
+    """Return ``t`` as a float, or raise ``ValueError`` unless finite and > 0."""
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"time must be finite and > 0, got {t!r}")
+    return t
+
+
+def _validate_n(n: int) -> int:
+    """Return ``n`` as an int, or raise ``ValueError`` unless an integer >= 1."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"space dimension parameter n must be an integer >= 1, got {n!r}")
-    return t, int(n)
+        raise ValueError(f"dimension parameter n must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def _eval_kernel(t: float, n: int, x, scaled: bool):
-    t, n = _validate_t_n(t, n)
+    t, n = _validate_t(t), _validate_n(n)
     x_arr = np.asarray(x, dtype=float)
     scalar_in = x_arr.ndim == 0
-    flat = np.atleast_1d(x_arr).astype(float).ravel()
+    flat = np.atleast_1d(x_arr).ravel()
     if flat.size and (np.any(~np.isfinite(flat)) or np.any(flat < 0.0)):
         raise ValueError("distance x must be finite and >= 0")
 

@@ -25,10 +25,10 @@ from typing import Any
 
 import numpy as np
 
-from .geometry import BallPoint, require_half_integer
+from .geometry import BallPoint, disc_distance, require_half_integer
 from .kernels import _mode_u_max, maass_radial_profile
 from .quadrature import QuadratureConfig, adaptive_gauss_kronrod, gauss_legendre_rule
-from .radial_heat import hyperbolic_heat_kernel
+from .radial_heat import _validate_t, hyperbolic_heat_kernel
 
 __all__ = [
     "ResidualReport",
@@ -221,19 +221,11 @@ def check_maass_pde(
 
     # corners of the square lattice leave the unit disc; those points are
     # never read (stencils only touch |w| <= radius + step) but must not
-    # poison the vectorized distance computation
-    norm_sq = (w * w.conjugate()).real
-    valid = norm_sq < 0.9
+    # poison the vectorized distance computation, so they get distance 0
+    valid = (w * w.conjugate()).real < 0.9
     y0 = complex(g.y_base)
-    z = 1.0 - w * np.conjugate(y0)
-    cosh_sq = np.where(
-        valid,
-        (z * z.conjugate()).real
-        / np.where(valid, (1.0 - norm_sq) * (1.0 - abs(y0) ** 2), 1.0),
-        1.0,
-    )
-    dists = np.arccosh(np.sqrt(np.maximum(cosh_sq, 1.0)))
-    phase = np.exp(-2j * kappa * np.angle(z))
+    dists = np.where(valid, disc_distance(np.where(valid, w, 0.0), y0), 0.0)
+    phase = np.exp(-2j * kappa * np.angle(1.0 - w * np.conjugate(y0)))
 
     levels = {}
     for tl in (t - g.t_step, t, t + g.t_step):
@@ -338,9 +330,7 @@ def check_subordination(
     Gaussian cosine transform is exp(-s^2 t)).
     """
     cfg = config or QuadratureConfig()
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"time must be finite and > 0, got {t!r}")
+    t = _validate_t(t)
     lam, u = np.linalg.eigh(sample.matrix)
     s = np.sqrt(np.clip(-lam, 0.0, None))
 
@@ -381,10 +371,7 @@ def check_semigroup_k0(
         raise ValueError("semigroup check runs on the 1-dimensional ball")
     if z.norm > 0.6:
         raise ValueError("base point must satisfy |z| <= 0.6")
-    t = float(t)
-    s = float(s)
-    if min(t, s) <= 0.0:
-        raise ValueError("both times must be > 0")
+    t, s = _validate_t(t), _validate_t(s)
 
     z0 = z.coords[0]
     d_z = math.atanh(abs(z0))
@@ -394,12 +381,9 @@ def check_semigroup_k0(
 
     v_t = maass_radial_profile(t, 1, 0.0, rho)
 
+    # nodes run out to |y| -> 1, so the distances are taken unmasked
     y = np.tanh(rho)[:, None] * np.exp(1j * phi)[None, :]
-    zc = 1.0 - y * np.conjugate(z0)
-    cosh_sq = (zc * zc.conjugate()).real / (
-        (1.0 - (y * y.conjugate()).real) * (1.0 - abs(z0) ** 2)
-    )
-    d2 = np.arccosh(np.sqrt(np.maximum(cosh_sq, 1.0)))
+    d2 = disc_distance(y, z0)
     v_s = maass_radial_profile(s, 1, 0.0, d2.ravel()).reshape(d2.shape)
 
     jac = (np.sinh(rho) * np.cosh(rho) * w_rho)[:, None] * w_phi[None, :]
@@ -422,9 +406,7 @@ def check_normalization_k0(t: float, n: int) -> ResidualReport:
     (for n = 1 this is the classical pi sinh(2 rho) element); the mass of
     a stochastically complete heat kernel is exactly 1.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"time must be finite and > 0, got {t!r}")
+    t = _validate_t(t)
     if n not in (1, 2):
         raise ValueError("normalization check supports n in {1, 2}")
     c_n = 2.0 * math.pi**n / math.factorial(n - 1)

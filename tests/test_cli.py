@@ -43,12 +43,18 @@ class TestEvalHyperbolic:
         assert [r.split(",")[0] for r in rows] == ["0.5"] * 3 + ["1"] * 3
         assert [r.split(",")[2] for r in rows[:3]] == ["1", "1.5", "2"]
 
-    def test_byte_determinism_across_jobs(self, capsys):
+    def test_byte_determinism_across_jobs(self, capsys, tmp_path):
+        # --jobs and the config key jobs are ignored, kept so old command
+        # lines and config files still run
         argv = ["eval-hyperbolic", "--grid", "x=0.1:3:7", "--grid", "t=0.5,1,2"]
-        rc1, out1, _ = run_cli(capsys, argv + ["--jobs", "1"])
-        rc2, out2, _ = run_cli(capsys, argv + ["--jobs", "4"])
-        assert rc1 == rc2 == 0
-        assert out1 == out2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 3\n")
+        runs = [
+            run_cli(capsys, argv + extra)
+            for extra in (["--jobs", "1"], ["--jobs", "4"], ["--jobs", "0"], ["--config", str(cfg)])
+        ]
+        assert [rc for rc, _, _ in runs] == [0, 0, 0, 0]
+        assert len({out for _, out, _ in runs}) == 1
 
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(
@@ -123,6 +129,15 @@ class TestEvalMaass:
         )
         assert rc == 2
         assert "conflict" in err
+
+    def test_non_finite_row_fails_instead_of_printing_nan(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["eval-maass", "--t", "1", "--kappa", "7", "--d", "0.5"]
+        )
+        assert rc == 3
+        assert "nan" not in out.lower()
+        assert out.splitlines() == ["t,n,kappa,d,re(v),im(v),route,route_discrepancy"]
+        assert "1 of 1 rows failed" in err
 
     def test_point_outside_ball_rejected(self, capsys):
         rc, _, err = run_cli(capsys, ["eval-maass", "--w", "1.5"])

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +10,13 @@ from adsheat.geometry import (
     BallPoint,
     FiberAngle,
     cosh_sq_distance,
+    disc_distance,
     hermitian_inner,
     hyperbolic_distance,
     phase_factor,
     point_at_distance,
     require_half_integer,
+    twist_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -105,6 +108,16 @@ class TestDistance:
     @given(ball_points(1))
     def test_self_distance_vanishes(self, w):
         assert hyperbolic_distance(w, w) <= 1e-7
+        assert disc_distance(np.array([w.coords[0]]), w.coords[0])[0] <= 1e-7
+
+    @given(ball_points(1), ball_points(1))
+    def test_disc_distance_matches_scalar_route(self, w, y):
+        # the array helper against the scalar cosh^2 / distance pair, with
+        # the diagonal pair (w, w) in the same batch
+        d = disc_distance(np.array([w.coords[0], y.coords[0]]), y.coords[0])
+        assert math.cosh(d[0]) ** 2 == pytest.approx(cosh_sq_distance(w, y), rel=1e-12)
+        assert d[0] == pytest.approx(hyperbolic_distance(w, y), abs=1e-7)
+        assert d[1] <= 1e-7
 
 
 class TestHermitianInner:
@@ -126,6 +139,14 @@ class TestPhaseFactor:
     def test_unit_modulus(self, w, y, two_kappa):
         kappa = two_kappa / 2.0
         assert abs(phase_factor(w, y, kappa)) == pytest.approx(1.0, rel=1e-14)
+
+    @given(ball_points(2), ball_points(2), st.integers(min_value=-4, max_value=4))
+    def test_twist_angle_reproduces_phase(self, w, y, two_kappa):
+        angle = twist_angle(w, y)
+        assert angle == pytest.approx(cmath.phase(1.0 - hermitian_inner(w, y)), abs=1e-15)
+        assert abs(angle) < math.pi / 2.0
+        expected = cmath.exp(-1j * two_kappa * angle)
+        assert phase_factor(w, y, two_kappa / 2.0) == pytest.approx(expected, abs=1e-15)
 
     def test_weight_zero_is_one(self):
         w = BallPoint((0.3 + 0.4j,))

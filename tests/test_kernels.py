@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from adsheat.geometry import BallPoint, FiberAngle, point_at_distance
+from adsheat.geometry import (
+    BallPoint,
+    FiberAngle,
+    hyperbolic_distance,
+    point_at_distance,
+    twist_angle,
+)
 from adsheat.kernels import (
     MAX_FIBER_MODES,
     AdsKernelQuery,
@@ -70,6 +76,14 @@ class TestMaassRoutes:
         direct = maass_kernel_direct(q)
         substituted = maass_kernel_substituted(q)
         assert abs(direct - substituted) <= max(1e-8, 1e-6 * abs(substituted))
+
+    def test_direct_route_overflow_raises_instead_of_nan(self):
+        # the Chebyshev factor overflows at kappa = 7; the quadrature must
+        # refuse the resulting NaN rather than report it as converged
+        w, y = pair_at(0.5)
+        with pytest.raises(ConvergenceError) as exc_info:
+            maass_kernel_direct(MaassKernelQuery(1.0, 1, 7.0, w, y))
+        assert exc_info.value.value is not None
 
     def test_direct_delegates_near_diagonal(self):
         w = BallPoint((1e-12,))
@@ -222,6 +236,23 @@ class TestAdsSeries:
         coarse = ads_kernel_series_detail(q, SeriesConfig(eps_tail=1e-6))
         fine = ads_kernel_series_detail(q, SeriesConfig(eps_tail=1e-13))
         assert abs(coarse.value - fine.value) <= 10.0 * coarse.tail_estimate + 1e-15
+
+    @pytest.mark.parametrize(
+        "w, y",
+        [((0.3 + 0.1j,), (0.2j,)), ((-0.4j,), (0.5 + 0.2j,)), ((0.1, 0.2j), (0.3j, -0.1))],
+    )
+    def test_twist_enters_as_effective_angle(self, w, y):
+        # a twisted pair equals the untwisted pair at the same distance
+        # with the fiber angle moved by Arg(1 - <w,y>)
+        w, y = BallPoint(w), BallPoint(y)
+        n, theta = w.n, 0.9
+        query = AdsKernelQuery(0.8, n, w, y, theta)
+        assert query.theta_eff == theta + twist_angle(w, y)
+        u = point_at_distance(hyperbolic_distance(w, y), n)
+        plain = AdsKernelQuery(0.8, n, u, BallPoint.origin(n), query.theta_eff)
+        a = ads_kernel_series(query)
+        b = ads_kernel_series(plain)
+        assert a == pytest.approx(b, rel=1e-9)
 
     def test_query_theta_coercion(self):
         w, y = pair_at(0.5)

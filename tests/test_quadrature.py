@@ -76,6 +76,19 @@ class TestAdaptive:
         assert err.error_estimate is not None
         assert math.isfinite(err.error_estimate)
 
+    def test_nan_integrand_raises(self):
+        # NaN > tol is False, so a NaN estimate must not pass as converged
+        def f(x):
+            out = np.exp(-x)
+            out[3] = np.nan
+            return out
+
+        with pytest.raises(ConvergenceError) as exc_info:
+            adaptive_gauss_kronrod(f, 0.0, 5.0, QuadratureConfig())
+        err = exc_info.value
+        assert math.isnan(abs(err.value))
+        assert math.isnan(err.error_estimate)
+
     def test_respects_absolute_tolerance(self):
         cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-15)
         res = adaptive_gauss_kronrod(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0, cfg)
