@@ -567,7 +567,8 @@ def _handle_verify(args: argparse.Namespace) -> int:
     if suite_label == "all":
         suites: tuple[str, ...] = DEFAULT_SUITES
     else:
-        suites = tuple(s.strip() for s in suite_label.split(",") if s.strip())
+        # a suite named twice runs once, at its first position
+        suites = tuple(dict.fromkeys(s.strip() for s in suite_label.split(",") if s.strip()))
         unknown = set(suites) - set(DEFAULT_SUITES)
         if unknown:
             raise UsageError(

@@ -34,14 +34,12 @@ class QuadratureConfig:
     """Tolerances and budget for the adaptive integrator.
 
     The target is ``max(abs_tol, rel_tol * |value|)`` on the summed error
-    estimate.  ``u_max_override`` lets callers pin the truncation point of
-    an integral over an unbounded domain instead of the automatic choice.
+    estimate.
     """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-9
     max_nodes: int = 100_000
-    u_max_override: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol < 1.0):
@@ -50,10 +48,6 @@ class QuadratureConfig:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
         if not (isinstance(self.max_nodes, int) and self.max_nodes >= 60):
             raise ValueError(f"max_nodes must be an int >= 60, got {self.max_nodes!r}")
-        if self.u_max_override is not None:
-            u = float(self.u_max_override)
-            if not (math.isfinite(u) and u > 0.0):
-                raise ValueError(f"u_max_override must be finite and > 0, got {u!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +136,6 @@ def adaptive_gauss_kronrod(
     a: float,
     b: float,
     config: QuadratureConfig | None = None,
-    *,
-    initial_panels: int = 8,
 ) -> IntegrationResult:
     """Integrate a vectorized integrand over [a, b] to the configured tolerance.
 
@@ -158,8 +150,6 @@ def adaptive_gauss_kronrod(
         raise ValueError("integration endpoints must be finite")
     if a == b:
         return IntegrationResult(0.0, 0.0, 0, 0)
-    if initial_panels < 1:
-        raise ValueError("initial_panels must be >= 1")
 
     heap: list[tuple[float, int, float, float, complex]] = []
     total = 0.0 + 0.0j
@@ -174,7 +164,7 @@ def adaptive_gauss_kronrod(
         heapq.heappush(heap, (-err, evaluated, lo, hi, val))
         evaluated += 1
 
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, 9)  # eight equal panels to start
     for lo, hi in zip(edges[:-1], edges[1:]):
         add_panel(lo, hi)
 

@@ -7,7 +7,6 @@ plain pytest run grades them all the same.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -174,21 +173,16 @@ def test_criterion_08_ads_central_identity():
     start = time.perf_counter()
     worst = 0.0
     reality_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for t in (0.7, 1.5):
-            for d in (0.0, 0.8):
-                w, y = point_at_distance(d), BallPoint.origin(1)
-                for theta in (0.0, 1.0, math.pi):
-                    query = AdsKernelQuery(t, 1, w, y, theta)
-                    series = ads_kernel_series_detail(query).value
-                    integral = ads_kernel_integral(t, 1, d, theta)
-                    worst = max(worst, abs(complex(integral) - series / TWO_PI))
-                    if not (
-                        series.real > 0.0
-                        and abs(series.imag) <= 1e-9 * series.real
-                    ):
-                        reality_ok = False
+    for t in (0.7, 1.5):
+        for d in (0.0, 0.8):
+            w, y = point_at_distance(d), BallPoint.origin(1)
+            for theta in (0.0, 1.0, math.pi):
+                query = AdsKernelQuery(t, 1, w, y, theta)
+                series = ads_kernel_series_detail(query).value
+                integral = ads_kernel_integral(t, 1, d, theta)
+                worst = max(worst, abs(complex(integral) - series / TWO_PI))
+                if not (series.real > 0.0 and abs(series.imag) <= 1e-9 * series.real):
+                    reality_ok = False
     assert reality_ok, "series value must be real positive at the base point"
     _grade(8, "fiber series equals shifted-Gaussian integral", worst, 1e-6, start, 60.0)
 

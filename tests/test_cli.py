@@ -249,6 +249,15 @@ class TestVerifyCommand:
         rc, _, err = run_cli(capsys, ["verify", "--suite", "bogus"])
         assert rc == 2
 
+    def test_repeated_suite_runs_once(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, ["verify", "--suite", "subordination,normalization,subordination"]
+        )
+        assert rc == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names[:2] == ["subordination_t0.5", "subordination_t1"]
+        assert len(names) == len(set(names)) == 5
+
     def test_deterministic_for_seed(self, capsys):
         argv = ["verify", "--suite", "subordination", "--seed", "9"]
         rc1, out1, _ = run_cli(capsys, argv)
@@ -305,3 +314,13 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "t,n,x,q"
         assert proc.stdout.endswith("\n")
+
+    def test_eval_ads_writes_nothing_to_stderr(self):
+        # the fiber series reports truncation as data, not as a warning
+        proc = subprocess.run(
+            [sys.executable, "-m", "adsheat", "eval-ads", "--t", "0.7", "--d", "0", "--theta", "0"],
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b""
