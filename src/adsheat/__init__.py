@@ -43,8 +43,6 @@ from .radial_heat import (
 from .special import chebyshev_T, gauss_2f1_terminating, spectral_cosh_factor
 from .verify import (
     CheckOutcome,
-    ConfigurationError,
-    DiscGrid,
     ResidualReport,
     SymmetricOperatorSample,
     check_maass_pde,
@@ -91,9 +89,7 @@ __all__ = [
     "theta_identity_lhs",
     "theta_identity_rhs",
     "ResidualReport",
-    "DiscGrid",
     "SymmetricOperatorSample",
-    "ConfigurationError",
     "random_negative_semidefinite",
     "check_maass_pde",
     "check_radial_heat_pde",

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .geometry import BallPoint, FiberAngle, hyperbolic_distance, point_at_distance
+from .geometry import TWO_PI, BallPoint, FiberAngle, hyperbolic_distance, point_at_distance
 from .kernels import (
     DIRECT_ROUTE_MIN_DISTANCE,
     AdsKernelQuery,
@@ -53,9 +53,7 @@ from .kernels import (
 from .quadrature import ConvergenceError, QuadratureConfig
 from .radial_heat import hyperbolic_heat_kernel
 from .special import gauss_2f1_terminating
-from .verify import DEFAULT_SUITES, ConfigurationError, run_default_suite
-
-TWO_PI = 2.0 * math.pi
+from .verify import DEFAULT_SUITES, run_default_suite
 
 
 class UsageError(ValueError):
@@ -444,12 +442,10 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
 
     def row(t: float, n: int, d: float, theta: float) -> dict[str, Any]:
         w, y, shown_d = _resolve_points(args, n, d)
-        query = AdsKernelQuery(t, n, w, y, FiberAngle(theta % TWO_PI))
+        query = AdsKernelQuery(t, n, w, y, FiberAngle(theta))
         dist = hyperbolic_distance(w, y)
         detail = ads_kernel_series_detail(query, series_cfg, quad)
-        integral = ads_kernel_integral(
-            t, n, dist, query.theta_eff % TWO_PI, series_cfg, quad
-        )
+        integral = ads_kernel_integral(t, n, dist, query.theta_eff, series_cfg, quad)
         series_over_2pi = detail.value / TWO_PI
         s = series_over_2pi if report_theorem else detail.value
         return {
@@ -671,12 +667,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigurationError as exc:
-        hint = ""
-        if exc.suggested_step is not None:
-            hint = f" (suggested step: {exc.suggested_step:.4g})"
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"error: computation did not converge: {exc}", file=sys.stderr)
         return 3

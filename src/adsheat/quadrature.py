@@ -164,36 +164,39 @@ def adaptive_gauss_kronrod(
         heapq.heappush(heap, (-err, evaluated, lo, hi, val))
         evaluated += 1
 
-    edges = np.linspace(a, b, 9)  # eight equal panels to start
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        add_panel(lo, hi)
+    # overflow and NaN in the integrand surface as a non-finite total,
+    # which raises below; numpy's own warnings for them would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(a, b, 9)  # eight equal panels to start
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            add_panel(lo, hi)
 
-    while True:
-        # a NaN estimate compares False against any tolerance and would be
-        # accepted as converged; a non-finite total never recovers either
-        if not (cmath.isfinite(total) and math.isfinite(total_err)):
-            raise ConvergenceError(
-                f"integrand produced a non-finite value (running value {total}, "
-                f"error estimate {total_err})",
-                value=total,
-                error_estimate=total_err,
-            )
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= target:
-            break
-        if _NODES_PER_PANEL * (evaluated + 2) > cfg.max_nodes:
-            raise ConvergenceError(
-                f"quadrature budget of {cfg.max_nodes} nodes exhausted at "
-                f"error estimate {total_err:.3e} (target {target:.3e})",
-                value=total,
-                error_estimate=total_err,
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        total -= val
-        total_err += neg_err  # neg_err is -err
-        mid = 0.5 * (lo + hi)
-        add_panel(lo, mid)
-        add_panel(mid, hi)
+        while True:
+            # a NaN estimate compares False against any tolerance and would be
+            # accepted as converged; a non-finite total never recovers either
+            if not (cmath.isfinite(total) and math.isfinite(total_err)):
+                raise ConvergenceError(
+                    f"integrand produced a non-finite value (running value {total}, "
+                    f"error estimate {total_err})",
+                    value=total,
+                    error_estimate=total_err,
+                )
+            target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            if total_err <= target:
+                break
+            if _NODES_PER_PANEL * (evaluated + 2) > cfg.max_nodes:
+                raise ConvergenceError(
+                    f"quadrature budget of {cfg.max_nodes} nodes exhausted at "
+                    f"error estimate {total_err:.3e} (target {target:.3e})",
+                    value=total,
+                    error_estimate=total_err,
+                )
+            neg_err, _, lo, hi, val = heapq.heappop(heap)
+            total -= val
+            total_err += neg_err  # neg_err is -err
+            mid = 0.5 * (lo + hi)
+            add_panel(lo, mid)
+            add_panel(mid, hi)
 
     value = total if total.imag != 0.0 else total.real
     return IntegrationResult(value, total_err, _NODES_PER_PANEL * evaluated, len(heap))

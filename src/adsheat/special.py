@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import require_half_integer
+
 
 def chebyshev_T(m: int, z):
     """Chebyshev polynomial ``T_m(z)`` by the three-term recurrence.
@@ -76,8 +78,6 @@ def spectral_cosh_factor(x, d: float, kappa: float):
     For ``kappa = 0`` this reduces to ``1 / sqrt(cosh^2 x - cosh^2 d)``; for
     ``d = 0`` it is ``cosh(2|kappa| x) / sinh x``.
     """
-    from .geometry import require_half_integer
-
     kappa = require_half_integer(kappa)
     d = float(d)
     if d < 0.0 or not math.isfinite(d):

@@ -32,9 +32,7 @@ from .radial_heat import _validate_t, hyperbolic_heat_kernel
 
 __all__ = [
     "ResidualReport",
-    "DiscGrid",
     "SymmetricOperatorSample",
-    "ConfigurationError",
     "random_negative_semidefinite",
     "discrete_maass_operator",
     "check_maass_pde",
@@ -46,15 +44,6 @@ __all__ = [
     "run_default_suite",
     "DEFAULT_SUITES",
 ]
-
-
-class ConfigurationError(ValueError):
-    """A check was configured inconsistently (e.g. grid too coarse for the
-    requested tolerance); carries a suggested fix when one exists."""
-
-    def __init__(self, message: str, *, suggested_step: float | None = None):
-        super().__init__(message)
-        self.suggested_step = suggested_step
 
 
 @dataclass(frozen=True)
@@ -69,36 +58,6 @@ class ResidualReport:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-
-
-@dataclass(frozen=True)
-class DiscGrid:
-    """Square lattice on the unit disc for the spin-weighted PDE check.
-
-    Lattice points w = (i*step, j*step); the residual is reported on
-    |w| <= radius, with one extra ring kept so every reported point has
-    all four stencil neighbors.  ``y_base`` (on the real axis, off-lattice
-    by default so the kernel is never sampled at distance exactly 0) is
-    the fixed second argument of the kernel; ``t_step`` is the central
-    time-difference step.
-    """
-
-    radius: float = 0.8
-    step: float = 0.02
-    y_base: float = 0.35
-    t_step: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.radius < 1.0):
-            raise ValueError(f"radius must be in (0, 1), got {self.radius!r}")
-        if not (0.0 < self.step <= self.radius / 4.0):
-            raise ValueError(f"step must be in (0, radius/4], got {self.step!r}")
-        if not (0.0 <= abs(self.y_base) < 1.0):
-            raise ValueError(f"y_base must satisfy |y_base| < 1, got {self.y_base!r}")
-        if self.radius + 2.0 * self.step >= 1.0:
-            raise ValueError("radius + 2*step must stay inside the unit disc")
-        if not (0.0 < self.t_step < 0.1):
-            raise ValueError(f"t_step must be in (0, 0.1), got {self.t_step!r}")
 
 
 @dataclass(frozen=True)
@@ -167,55 +126,33 @@ def discrete_maass_operator(
     )
 
 
-# stencil-error budgets: measured residual / step^2 on the default grids
-# with a little headroom; used only to reject configurations that cannot
-# reach a requested tolerance.  The disc budget grows with the spin weight
-# because the phase factor makes the field more oscillatory.
-def _maass_stencil_budget(kappa: float) -> float:
-    return 6.0 + 14.0 * kappa * kappa
+# disc PDE check: report radius, the kernel's second argument (off the
+# lattice, so no point sits at distance exactly 0) and the time step
+_DISC_RADIUS = 0.8
+_DISC_Y_BASE = 0.35
+_DISC_T_STEP = 1e-3
 
 
-def _radial_stencil_budget(n: int) -> float:
-    return 25.0 + 35.0 * (n - 1)
-
-
-def _coarse_grid_guard(step: float, budget: float, target_rel: float | None) -> None:
-    if target_rel is None:
-        return
-    predicted = budget * step * step
-    if predicted > target_rel:
-        suggested = 0.9 * math.sqrt(target_rel / budget)
-        raise ConfigurationError(
-            f"grid step {step:g} predicts a stencil residual ~{predicted:.2e}, "
-            f"above the requested {target_rel:.2e}; use step <= {suggested:.2e}",
-            suggested_step=suggested,
-        )
-
-
-def check_maass_pde(
-    t: float,
-    kappa: float,
-    grid: DiscGrid | None = None,
-    *,
-    target_rel: float | None = None,
-) -> ResidualReport:
+def check_maass_pde(t: float, kappa: float, *, step: float = 0.02) -> ResidualReport:
     """Finite-difference residual of d/dt v = D_kappa v on the unit disc.
 
     Evaluates the spin-weighted kernel (substituted route, by far the
-    smoothest) with second argument fixed at ``grid.y_base``, applies
-    :func:`discrete_maass_operator` in space and a central difference in
-    time, and reports the worst absolute residual plus the same normalized
-    by max |d/dt v| over the grid (d/dt v changes sign inside any
-    reasonable grid, so pointwise relative error is not a usable metric).
+    smoothest) on the square lattice w = (i*step, j*step) with second
+    argument fixed at y = 0.35, applies :func:`discrete_maass_operator` in
+    space and a central difference in time, and reports, on |w| <= 0.8,
+    the worst absolute residual plus the same normalized by max |d/dt v|
+    over the grid (d/dt v changes sign inside any reasonable grid, so
+    pointwise relative error is not a usable metric).  The stencil error
+    is O(step^2) and grows with |kappa|; step must be in (0, 0.1).
     """
-    g = grid or DiscGrid()
     kappa = require_half_integer(kappa)
-    if not (t > g.t_step):
-        raise ConfigurationError("need t > t_step for the central time stencil")
-    _coarse_grid_guard(g.step, _maass_stencil_budget(kappa), target_rel)
+    if not (t > _DISC_T_STEP):
+        raise ValueError("need t > t_step for the central time stencil")
+    if not (0.0 < step < 0.1):
+        raise ValueError(f"step must be in (0, 0.1), got {step!r}")
 
-    m = int(math.floor((g.radius + g.step) / g.step + 1e-9))
-    axis = g.step * np.arange(-m, m + 1)
+    m = int(math.floor((_DISC_RADIUS + step) / step + 1e-9))
+    axis = step * np.arange(-m, m + 1)
     wx, wy = np.meshgrid(axis, axis, indexing="ij")
     w = wx + 1j * wy
 
@@ -223,19 +160,19 @@ def check_maass_pde(
     # never read (stencils only touch |w| <= radius + step) but must not
     # poison the vectorized distance computation, so they get distance 0
     valid = (w * w.conjugate()).real < 0.9
-    y0 = complex(g.y_base)
+    y0 = complex(_DISC_Y_BASE)
     dists = np.where(valid, disc_distance(np.where(valid, w, 0.0), y0), 0.0)
     phase = np.exp(-2j * kappa * np.angle(1.0 - w * np.conjugate(y0)))
 
     levels = {}
-    for tl in (t - g.t_step, t, t + g.t_step):
+    for tl in (t - _DISC_T_STEP, t, t + _DISC_T_STEP):
         prof = maass_radial_profile(tl, 1, kappa, dists.ravel()).reshape(dists.shape)
         levels[tl] = phase * prof
 
-    dt_v = (levels[t + g.t_step] - levels[t - g.t_step]) / (2.0 * g.t_step)
-    op_v = discrete_maass_operator(levels[t], w, g.step, kappa)
+    dt_v = (levels[t + _DISC_T_STEP] - levels[t - _DISC_T_STEP]) / (2.0 * _DISC_T_STEP)
+    op_v = discrete_maass_operator(levels[t], w, step, kappa)
 
-    inner = (np.abs(w) <= g.radius)[1:-1, 1:-1]
+    inner = (np.abs(w) <= _DISC_RADIUS)[1:-1, 1:-1]
     resid = np.abs(dt_v[1:-1, 1:-1] - op_v)[inner]
     dt_scale = float(np.abs(dt_v[1:-1, 1:-1][inner]).max())
     max_abs = float(resid.max())
@@ -243,49 +180,32 @@ def check_maass_pde(
         max_abs_residual=max_abs,
         max_rel_residual=max_abs / dt_scale,
         grid_spec=(
-            f"disc |w| <= {g.radius}, step {g.step}, y = {g.y_base}, "
+            f"disc |w| <= {_DISC_RADIUS}, step {step}, y = {_DISC_Y_BASE}, "
             f"{int(inner.sum())} points"
         ),
         config_echo={
             "t": t,
             "kappa": kappa,
-            "radius": g.radius,
-            "step": g.step,
-            "y_base": g.y_base,
-            "t_step": g.t_step,
+            "radius": _DISC_RADIUS,
+            "step": step,
+            "y_base": _DISC_Y_BASE,
+            "t_step": _DISC_T_STEP,
         },
     )
 
 
-def check_radial_heat_pde(
-    x_range: tuple[float, float] = (0.2, 4.0),
-    n: int = 1,
-    *,
-    h: float = 1e-3,
-    target_rel: float | None = None,
-) -> ResidualReport:
+def check_radial_heat_pde(n: int = 1) -> ResidualReport:
     """Finite-difference residual of d/dt q = q'' + 2n coth(x) q' on H^(2n+1).
 
-    Central differences with step ``h`` in both variables on an 8 x 24
-    grid over t in [0.3, 2] and the given x range.  The x range
-    must stay >= 0.2: closer to the removable singularity at 0 the stencil
-    would need the even extension.  Relative residual is normalized by
-    max |d/dt q| over the grid (d/dt q has a zero curve inside the default
-    grid, so a pointwise quotient is not meaningful).
+    Central differences with step h = 1e-3 in both variables on an 8 x 24
+    grid over t in [0.3, 2] and x in [0.2, 4].  The x range stays >= 0.2:
+    closer to the removable singularity at 0 the stencil would need the
+    even extension.  Relative residual is normalized by max |d/dt q| over
+    the grid (d/dt q has a zero curve inside the grid, so a pointwise
+    quotient is not meaningful).
     """
     t_lo, t_hi, n_t, n_x = 0.3, 2.0, 8, 24
-    x_lo, x_hi = float(x_range[0]), float(x_range[1])
-    if x_lo < 0.2:
-        raise ConfigurationError(
-            "x range must start at 0.2 or above (stencil stability near the "
-            "removable singularity at x = 0)"
-        )
-    if not (0.0 < h < 0.1 * min(x_lo, t_lo)):
-        raise ConfigurationError(f"step h = {h!r} too large for the requested ranges")
-    if not x_lo < x_hi:
-        raise ConfigurationError("invalid x range")
-    _coarse_grid_guard(h, _radial_stencil_budget(n), target_rel)
-
+    x_lo, x_hi, h = 0.2, 4.0, 1e-3
     ts = np.linspace(t_lo, t_hi, n_t)
     xs = np.linspace(x_lo, x_hi, n_x)
     coth = 1.0 / np.tanh(xs)
@@ -468,8 +388,7 @@ def run_default_suite(
             for t in (0.8, 1.0):
                 # the weight-1 field oscillates faster; refine the lattice
                 # so the O(h^2) stencil error keeps the same headroom
-                grid = DiscGrid(step=0.01) if kappa == 1.0 else DiscGrid()
-                rep = check_maass_pde(t, kappa, grid)
+                rep = check_maass_pde(t, kappa, step=0.01 if kappa == 1.0 else 0.02)
                 add(
                     f"maass_pde_kappa{kappa:g}_t{t:g}",
                     rep,

@@ -324,3 +324,15 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+    def test_failed_row_stderr_holds_only_the_failure(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "adsheat", "eval-maass", "--t", "1", "--kappa", "7", "--d", "0.5"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("warning: ") for line in lines)

@@ -46,6 +46,7 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
     (["eval-ads", "--grid", "t=0.005,1", "--d", "0.3"], None),
     (["identity"], None),
     (["verify", "--suite", "subordination,semigroup,normalization", "--seed", "42"], None),
+    (["verify", "--suite", "radial-pde"], None),
 ]
 
 

@@ -86,6 +86,15 @@ class TestMaassRoutes:
             maass_kernel_direct(MaassKernelQuery(1.0, 1, 7.0, w, y))
         assert exc_info.value.value is not None
 
+    def test_direct_route_overflow_raises_before_any_warning(self):
+        # the non-finite total is the one report; numpy's overflow and
+        # invalid-value warnings must not precede it
+        w, y = pair_at(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                maass_kernel_direct(MaassKernelQuery(1.0, 1, 7.0, w, y))
+
     def test_direct_delegates_near_diagonal(self):
         w = BallPoint((1e-12,))
         q = MaassKernelQuery(1.0, 1, 0.5, w, BallPoint.origin(1))

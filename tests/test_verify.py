@@ -6,9 +6,7 @@ import pytest
 from adsheat.geometry import point_at_distance
 from adsheat.verify import (
     CheckOutcome,
-    ConfigurationError,
     DEFAULT_SUITES,
-    DiscGrid,
     ResidualReport,
     SymmetricOperatorSample,
     check_maass_pde,
@@ -60,18 +58,10 @@ class TestResidualReport:
 
 
 class TestDiscGrid:
-    def test_defaults(self):
-        g = DiscGrid()
-        assert g.radius == 0.8
-        assert g.step == 0.02
-
     def test_validation(self):
+        # the lattice plus its stencil ring must stay inside the unit disc
         with pytest.raises(ValueError):
-            DiscGrid(radius=1.2)
-        with pytest.raises(ValueError):
-            DiscGrid(step=0.5)
-        with pytest.raises(ValueError):
-            DiscGrid(radius=0.97, step=0.02)
+            check_maass_pde(1.0, 0.0, step=0.5)
 
 
 class TestSubordination:
@@ -136,18 +126,6 @@ class TestRadialPde:
         report = check_radial_heat_pde(n=n)
         assert report.max_rel_residual <= 1e-4
 
-    def test_rejects_tiny_x_lo(self):
-        with pytest.raises(ValueError):
-            check_radial_heat_pde(x_range=(0.05, 4.0))
-
-    def test_rejects_oversized_step(self):
-        with pytest.raises(ValueError):
-            check_radial_heat_pde(h=0.05)
-
-    def test_guard_fires_on_unreachable_target(self):
-        with pytest.raises(ConfigurationError):
-            check_radial_heat_pde(n=1, h=5e-3, target_rel=1e-9)
-
 
 class TestMaassPde:
     def test_weight_zero_default_grid(self):
@@ -155,22 +133,25 @@ class TestMaassPde:
         assert report.max_rel_residual <= 5e-3
 
     def test_weight_one_refined_grid(self):
-        report = check_maass_pde(1.0, 1.0, DiscGrid(step=0.01))
+        report = check_maass_pde(1.0, 1.0, step=0.01)
         assert report.max_rel_residual <= 5e-3
 
-    def test_coarse_grid_guard_suggests_step(self):
+    def test_default_step_too_coarse_at_weight_one(self):
         # at kappa = 1 and step 0.02 the O(h^2) stencil truncation alone
-        # exceeds 5e-3, so the guard must refuse and suggest a finer step
-        with pytest.raises(ConfigurationError) as exc_info:
-            check_maass_pde(1.0, 1.0, DiscGrid(step=0.02), target_rel=5e-3)
-        step = exc_info.value.suggested_step
-        assert step is not None
-        assert 0.010 < step < 0.018
+        # exceeds 5e-3, which is why the default suite refines to 0.01
+        report = check_maass_pde(1.0, 1.0, step=0.02)
+        assert report.max_rel_residual > 5e-3
 
     def test_config_echo_reports_grid(self):
         report = check_maass_pde(0.8, 0.5)
-        assert "step" in report.config_echo
-        assert report.config_echo["kappa"] == 0.5
+        assert report.config_echo == {
+            "t": 0.8,
+            "kappa": 0.5,
+            "radius": 0.8,
+            "step": 0.02,
+            "y_base": 0.35,
+            "t_step": 1e-3,
+        }
 
 
 class TestSuiteRunner:
