@@ -403,14 +403,14 @@ def _resolve_points(
     return w, y, hyperbolic_distance(w, y)
 
 
-def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
+def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
     def row(t: float, n: int, x: float) -> dict[str, Any]:
         return {"t": t, "n": n, "x": x, "q": float(hyperbolic_heat_kernel(t, n, x))}
 
-    return row
+    return lambda group: [row(**p) for p in group]
 
 
-def _maass_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
+def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
     quad = _quad_config(args)
 
     def row(t: float, n: int, kappa: float, d: float) -> dict[str, Any]:
@@ -432,37 +432,42 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
             "route_discrepancy": abs(direct - substituted),
         }
 
-    return row
+    return lambda group: [row(**p) for p in group]
 
 
-def _ads_rows(args: argparse.Namespace) -> Callable[..., dict[str, Any]]:
+def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
     quad = _quad_config(args)
     series_cfg = SeriesConfig(eps_tail=args.eps_tail, k_max_override=args.k_max)
     report_theorem = args.normalization == "theorem"
 
-    def row(t: float, n: int, d: float, theta: float) -> dict[str, Any]:
+    def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        t, n, d = group[0]["t"], group[0]["n"], group[0]["d"]
         w, y, shown_d = _resolve_points(args, n, d)
-        query = AdsKernelQuery(t, n, w, y, FiberAngle(theta))
-        dist = hyperbolic_distance(w, y)
-        detail = ads_kernel_series_detail(query, series_cfg, quad)
-        integral = ads_kernel_integral(t, n, dist, query.theta_eff, series_cfg, quad)
-        series_over_2pi = detail.value / TWO_PI
-        s = series_over_2pi if report_theorem else detail.value
-        return {
-            "t": t,
-            "n": n,
-            "d": shown_d,
-            "theta": query.theta.theta,
-            "re(s)": s.real,
-            "im(s)": s.imag,
-            "series_terms_used": 2 * detail.modes_used + 1,
-            "route_discrepancy": abs(complex(integral) - series_over_2pi),
-        }
+        queries = [AdsKernelQuery(t, n, w, y, FiberAngle(p["theta"])) for p in group]
+        angles, dist = [q.theta_eff for q in queries], hyperbolic_distance(w, y)
+        detail = ads_kernel_series_detail(queries[0], series_cfg, quad)
+        integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
 
-    return row
+        def row(query: AdsKernelQuery, integral: complex) -> dict[str, Any]:
+            series = detail.at_angle(query.theta_eff).value
+            s = series / TWO_PI if report_theorem else series
+            return {
+                "t": t,
+                "n": n,
+                "d": shown_d,
+                "theta": query.theta.theta,
+                "re(s)": s.real,
+                "im(s)": s.imag,
+                "series_terms_used": 2 * detail.modes_used + 1,
+                "route_discrepancy": abs(complex(integral) - series / TWO_PI),
+            }
+
+        return [row(q, i) for q, i in zip(queries, integrals)]
+
+    return rows
 
 
-_ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., dict[str, Any]]]] = {
+_ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[str, Any]]]]] = {
     "eval-hyperbolic": _hyperbolic_rows,
     "eval-maass": _maass_rows,
     "eval-ads": _ads_rows,
@@ -472,23 +477,33 @@ _ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., dict[str, 
 def _handle_eval(args: argparse.Namespace) -> int:
     """Merge options, build the grid, evaluate rows in order, emit them.
 
-    A row that does not converge is left out and listed on stderr; the
-    exit code is then 3.
+    ``eval-ads`` rows differing only in theta (innermost) are evaluated as
+    one group.  A row that does not converge on its own is left out and
+    listed on stderr; the exit code is then 3.
     """
     command = args.command
     value_lists = _merge_options(args, command)
     points_given = getattr(args, "w", None) is not None or getattr(args, "y", None) is not None
     if points_given and len(value_lists["d"]) > 1:
         raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
-    row = _ROW_BUILDERS[command](args)
+    group_rows = _ROW_BUILDERS[command](args)
     params_list = _grid_product(value_lists)
+    shared = _GRID_ORDER[command][: -1 if command == "eval-ads" else None]
     rows: list[dict[str, Any]] = []
     failures: list[tuple[dict[str, Any], ConvergenceError]] = []
-    for p in params_list:
+
+    def evaluate(group: list[dict[str, Any]]) -> None:
         try:
-            rows.append(row(**p))
+            rows.extend(group_rows(group))
         except ConvergenceError as exc:
-            failures.append((p, exc))
+            if len(group) == 1:
+                failures.append((group[0], exc))
+            else:  # each row alone: only those that fail by themselves are left out
+                for p in group:
+                    evaluate([p])
+
+    for _, same in itertools.groupby(params_list, key=lambda p: [p[c] for c in shared]):
+        evaluate(list(same))
     _emit_rows(command, rows, args.format or "csv", args.output)
     if failures:
         _report_failures(failures, len(params_list))

@@ -39,14 +39,18 @@ with exponential growth (cosh modes, shifted complex squares) is evaluated
 through :func:`hyperbolic_heat_kernel_scaled` with the exponents combined
 analytically, so no inf * 0 can form; damped series modes fold the
 ``e^{-t k^2}`` factor into the same exponent, which makes the combined
-exponent globally <= 0 and mode evaluation stable for every k.
+exponent globally <= 0 and mode evaluation stable for every k.  The series
+integrates a block of modes, and the integral route all shifted copies of
+one angle, as one vector quadrature sharing x(u) and q_t(x(u)); neither the
+modes nor the wing truncation depends on theta, so a theta sweep reuses them.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import takewhile
 from typing import Iterator
 
 import numpy as np
@@ -197,11 +201,20 @@ class AdsSeriesResult:
     ``tail_estimate`` bounds the dropped tail by geometric extrapolation of
     the last included pair.  Both are absolute: compare ``tail_estimate``
     with ``|value|`` before trusting a value near or below ``eps_tail``.
+    ``damped_modes`` are the angle-free ``e^{-t k^2} V_k(d)``, k = 0..modes_used.
     """
 
     value: complex
     modes_used: int
     tail_estimate: float
+    damped_modes: tuple[float, ...]
+
+    def at_angle(self, theta_eff: float) -> AdsSeriesResult:
+        """The same truncated series at effective fiber angle ``theta_eff``."""
+        total = self.damped_modes[0]
+        for k, mode in enumerate(self.damped_modes[1:], 1):
+            total += 2.0 * math.cos(k * theta_eff) * mode
+        return replace(self, value=complex(total, 0.0))
 
 
 def _mode_u_max(t: float, m: int, abs_tol: float) -> float:
@@ -235,26 +248,22 @@ def _cosh_modes(t: float, m: int, u, x, shift: float = 0.0):
     return np.exp(m * u - g) + np.exp(-m * u - g)
 
 
-def _cosh_mode_integral(
-    t: float, n: int, m: int, d: float, cfg: QuadratureConfig, *, damp: bool
-) -> float:
-    """2 * int_0^u_max q_t(x(u)) cosh(m u) du, optionally times e^{-t m^2}.
+def _cosh_mode_integral(t: float, n: int, m, d: float, cfg: QuadratureConfig, shift=0.0):
+    """2 * int_0^u_max q_t(x(u)) cosh(m u) du * e^{-shift}, x(u) = arccosh(cosh u cosh d).
 
-    x(u) = arccosh(cosh u * cosh d).  Damping shifts the exponents of
-    :func:`_cosh_modes` by t m^2, which makes them globally <= 0
-    [m u - x^2/4t - t m^2 = -(u - 2tm)^2/4t - (x^2 - u^2)/4t], so nothing
-    overflows for any mode.
+    ``m`` and ``shift`` may be columns, one row per mode, sharing one vector
+    quadrature.  Damping (shift = t m^2) makes the exponents of
+    :func:`_cosh_modes` globally <= 0 [m u - x^2/4t - t m^2 =
+    -(u - 2tm)^2/4t - (x^2 - u^2)/4t], so nothing overflows for any mode.
     """
-    shift = t * m * m if damp else 0.0
     cosh_d = math.cosh(d)
-    u_max = _mode_u_max(t, m, cfg.abs_tol)
+    u_max = _mode_u_max(t, int(np.max(m)), cfg.abs_tol)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         x = _fiber_distance(np.cosh(u), cosh_d)
         return hyperbolic_heat_kernel_scaled(t, n, x) * _cosh_modes(t, m, u, x, shift)
 
-    res = adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg)
-    return float(np.real(res.value))
+    return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value
 
 
 def maass_kernel_substituted(
@@ -272,7 +281,7 @@ def maass_kernel_substituted(
     m = _undamped_mode(t, query.kappa)
     d = hyperbolic_distance(query.w, query.y)
     phase = phase_factor(query.w, query.y, query.kappa)
-    return phase * _cosh_mode_integral(t, n, m, d, cfg, damp=False)
+    return phase * float(np.real(_cosh_mode_integral(t, n, m, d, cfg)))
 
 
 def maass_kernel_direct(
@@ -377,14 +386,18 @@ def ads_kernel_series_detail(
     mode's phase factor is ``e^{-ik Arg(1 - <w,y>)}``, so conjugate mode
     pairs combine to ``2 cos(k theta') * e^{-t k^2} V_k(d)`` with
     ``theta' = theta + Arg(1 - <w,y>)`` and V_k real: the sum is real for
-    every query, as it must be (it is the kernel of a real operator).
+    every query, as it must be (it is the kernel of a real operator).  No
+    damped mode depends on theta: :meth:`AdsSeriesResult.at_angle` re-sums
+    them at another theta'.
 
     Truncation: at least the floor count of :func:`_baseline_mode_count`
     modes are summed, then modes are added until the last damped pair
-    ``2 |e^{-t k^2} V_k(d)|`` is below ``eps_tail``.  Damped modes decay
-    like e^{-2 n t k}, so this always terminates; MAX_FIBER_MODES is a
-    safety stop that raises ConvergenceError.  ``k_max_override`` replaces
-    the rule by a fixed count.
+    ``2 |e^{-t k^2} V_k(d)|`` is below ``eps_tail``, in blocks of at most
+    MAX_FIBER_MODES + 1 modes (one vector quadrature each) that end at the
+    floor for v_0 = 0 (t only: short at large t, where high modes overflow
+    cosh u), then at twice the last end.  Damped modes decay like
+    e^{-2 n t k}, so this always terminates; MAX_FIBER_MODES is a safety
+    stop that raises ConvergenceError.  ``k_max_override`` pins the count.
 
     Accuracy is absolute, about ``eps_tail``: a kernel value below that can
     come out negative (t = 0.2, d = 0.5, theta = 3.14159 gives -2.7e-10 with
@@ -392,41 +405,37 @@ def ads_kernel_series_detail(
     """
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()
-    t, n = query.t, query.n
+    t, n, eps = query.t, query.n, s_cfg.eps_tail
     d = hyperbolic_distance(query.w, query.y)
-    theta_eff = query.theta_eff
-
-    with _labelled("fiber mode k=0"):
-        v0 = _cosh_mode_integral(t, n, 0, d, q_cfg, damp=False)
-
-    k_base = _baseline_mode_count(t, v0, s_cfg.eps_tail)
-    k_cap = s_cfg.k_max_override if s_cfg.k_max_override is not None else MAX_FIBER_MODES
     pinned = s_cfg.k_max_override is not None
+    k_cap = s_cfg.k_max_override if pinned else MAX_FIBER_MODES
 
-    total = v0
-    last_pair = 0.0
-    k = 0
-    while k < k_cap:
-        k += 1
-        with _labelled(f"fiber mode k={k}"):
-            damped = _cosh_mode_integral(t, n, k, d, q_cfg, damp=True)
-        pair = 2.0 * math.cos(k * theta_eff) * damped
-        total += pair
-        last_pair = 2.0 * abs(damped)
-        if not pinned and k >= k_base and last_pair < s_cfg.eps_tail:
+    modes: list[float] = []
+    hi = k_cap if pinned else min(k_cap, _baseline_mode_count(t, 0.0, eps))
+    while True:
+        lo = len(modes)
+        hi = min(hi, lo + MAX_FIBER_MODES)  # bounds the (modes, nodes) arrays
+        ks = np.arange(lo, hi + 1)[:, None]
+        with _labelled(f"fiber modes k={lo}..{hi}"):
+            modes += _cosh_mode_integral(t, n, ks, d, q_cfg, shift=t * ks * ks).tolist()
+        k_base = _baseline_mode_count(t, modes[0], eps)
+        small = (j for j in range(max(lo, k_base), hi + 1) if 2.0 * abs(modes[j]) < eps)
+        k = hi if pinned else next(small, 0)
+        if (k == k_cap) if pinned else k:
             break
-    else:
-        if not pinned:
+        if hi == k_cap:
             raise ConvergenceError(
                 f"fiber-mode series not converged after {MAX_FIBER_MODES} modes "
-                f"(last damped pair {last_pair:.3e} vs eps_tail {s_cfg.eps_tail:.3e})",
-                value=total,
-                error_estimate=last_pair,
+                f"(last damped pair {2.0 * abs(modes[-1]):.3e} vs eps_tail {eps:.3e})",
+                value=AdsSeriesResult(0j, k_cap, 0.0, tuple(modes)).at_angle(query.theta_eff).value,
+                error_estimate=2.0 * abs(modes[-1]),
             )
+        hi = min(k_cap, max(k_base, 2 * hi))
 
+    modes = modes[: k + 1]
     ratio = math.exp(-2.0 * n * t)
-    tail = last_pair * ratio / (1.0 - ratio)
-    return AdsSeriesResult(complex(total, 0.0), k, tail)
+    tail = 2.0 * abs(modes[k]) * ratio / (1.0 - ratio) if k else 0.0
+    return AdsSeriesResult(0j, k, tail, tuple(modes)).at_angle(query.theta_eff)
 
 
 def ads_kernel_series(
@@ -442,16 +451,17 @@ def ads_kernel_integral(
     t: float,
     n: int,
     d: float,
-    theta: FiberAngle | float,
+    theta,
     series_config: SeriesConfig | None = None,
     quad_config: QuadratureConfig | None = None,
-) -> complex:
+):
     """Shifted-Gaussian integral form of the subelliptic kernel at base w = 0.
 
     Returns ``(4 pi t)^(-1/2) * sum_k int exp((u - i theta_k)^2/(4t)) *
     q_t(x(u)) du`` with ``theta_k = theta + 2 pi k`` and
     ``x(u) = arccosh(cosh u * cosh d)``.  Equals the fiber-mode series
-    divided by 2 pi.
+    divided by 2 pi.  ``theta`` may be an array (array result): the
+    theta-free parts are computed once, then one vector quadrature per angle.
 
     The integrand modulus is ``exp((u^2 - theta_k^2 - x^2)/(4t)) *
     q_t_scaled(x)`` whose exponent is <= 0 (x >= |u|), so evaluation never
@@ -465,8 +475,8 @@ def ads_kernel_integral(
     d = float(d)
     if not (math.isfinite(d) and d >= 0.0):
         raise ValueError(f"distance must be finite and >= 0, got {d!r}")
-    if not isinstance(theta, FiberAngle):
-        theta = FiberAngle(theta)
+    theta = getattr(theta, "theta", theta)  # a FiberAngle's angle
+    angles = [FiberAngle(a).theta for a in np.atleast_1d(theta).tolist()]
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()
     cosh_d = math.cosh(d)
@@ -478,46 +488,45 @@ def ads_kernel_integral(
             (u * u - x * x) / (4.0 * t)
         )
 
-    u_max = 2.0 * math.sqrt(t * (math.log(1.0 / q_cfg.abs_tol) + 20.0))
-    while float(envelope(np.array([u_max]))[0]) > 0.01 * q_cfg.abs_tol and u_max < 400.0:
-        u_max += 1.0
+    # the first of u0, u0 + 1, (u0 + 1) + 1, ... (rounded stepwise) past 400 or with
+    # a negligible envelope; candidates end near 700 - d, where cosh u cosh d overflows
+    u0 = 2.0 * math.sqrt(t * (math.log(1.0 / q_cfg.abs_tol) + 20.0))
+    candidates = np.cumsum([u0] + [1.0] * (max(0, math.ceil(min(400.0, 700.0 - d) - u0)) + 1))
+    above = (envelope(candidates[:-1]) > 0.01 * q_cfg.abs_tol) & (candidates[:-1] < 400.0)
+    u_max = float(candidates[np.argmin(np.append(above, False))])
 
     env_int = adaptive_gauss_kronrod(envelope, 0.0, u_max, q_cfg)
     j_bound = 2.0 * abs(env_int.value)
+    threshold = 0.05 * min(s_cfg.eps_tail, 1e-6)
 
-    def mode_term(k: int) -> complex:
-        theta_k = theta.theta + 2.0 * math.pi * k
+    def copy_bound(k: int) -> float:
+        theta_k = angle + 2.0 * math.pi * k
+        return math.exp(-theta_k * theta_k / (4.0 * t)) * j_bound
+
+    def matters(k: int) -> bool:
+        return copy_bound(k) >= threshold
+
+    out = []
+    for angle in angles:
+        # the nearest copies of theta in [0, 2pi) are k = 0, -1; extend outward
+        ks = [0, *takewhile(matters, range(1, 65)), -1, *takewhile(matters, range(-2, -65, -1))]
+        theta_k = (angle + 2.0 * math.pi * np.array(ks))[:, None]
 
         def integrand(u: np.ndarray) -> np.ndarray:
             x = _fiber_distance(np.cosh(u), cosh_d)
             expo = ((u - 1j * theta_k) ** 2 - x * x) / (4.0 * t)
             return hyperbolic_heat_kernel_scaled(t, n, x) * np.exp(expo)
 
-        with _labelled(f"shifted copy k={k}"):
-            return adaptive_gauss_kronrod(integrand, -u_max, u_max, q_cfg).value
-
-    def mode_bound(k: int) -> float:
-        theta_k = theta.theta + 2.0 * math.pi * k
-        return math.exp(-theta_k * theta_k / (4.0 * t)) * j_bound
-
-    threshold = 0.05 * min(s_cfg.eps_tail, 1e-6)
-    total = 0.0 + 0.0j
-    # theta canonical in [0, 2pi) puts the two nearest shifted copies at
-    # k = 0 and k = -1; always include those, then extend outward
-    for k_start, step in ((0, 1), (-1, -1)):
-        k = k_start
-        while True:
-            if mode_bound(k) < threshold and k not in (0, -1):
-                break
-            total += mode_term(k)
-            k += step
-            if abs(k) > 64:
-                raise ConvergenceError(
-                    "shifted-copy sum did not converge within 64 copies",
-                    value=inv_norm * total,
-                    error_estimate=mode_bound(k),
-                )
-    return inv_norm * total
+        with _labelled(f"shifted copies at theta={angle!r}"):
+            res = adaptive_gauss_kronrod(integrand, -u_max, u_max, q_cfg)
+        out.append(inv_norm * sum(res.value.tolist(), 0j))
+        if 64 in ks or -64 in ks:
+            raise ConvergenceError(
+                "shifted-copy sum did not converge within 64 copies",
+                value=out[-1],
+                error_estimate=copy_bound(65 if 64 in ks else -65),
+            )
+    return out[0] if np.ndim(theta) == 0 else np.array(out)
 
 
 def theta_identity_lhs(t: float, u: float, theta: float, k_terms: int) -> complex:

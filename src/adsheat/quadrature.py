@@ -6,8 +6,11 @@ are kept in a max-heap by estimated error and the worst one is bisected
 until the summed estimate meets the requested tolerance or the node budget
 runs out.
 
-Integrands must be vectorized: they are called with a numpy array of 15
-nodes and must return an array of matching length (real or complex).
+Integrands must be vectorized: they are called once per panel with a numpy
+array of 15 nodes and return 15 values (real or complex), or a (C, 15)
+array for C components on shared panels.  Each component must then meet
+its own target, max(abs_tol, rel_tol * |I_c|), and a panel ranks by its
+worst component error in units of the targets after the first 8 panels.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    value: complex
-    error_estimate: float
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
     n_evals: int
     n_panels: int
 
@@ -117,20 +120,6 @@ GAUSS_EMBEDDED_WEIGHTS[[9, 11, 13]] = _WG[::-1]
 _NODES_PER_PANEL = 15
 
 
-def _panel_estimate(f: Callable, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = mid + half * KRONROD_NODES
-    fv = np.asarray(f(nodes))
-    if fv.shape != (15,):
-        raise ValueError(
-            f"integrand must map 15 nodes to 15 values, got shape {fv.shape}"
-        )
-    i15 = half * (KRONROD_WEIGHTS @ fv)
-    i7 = half * (GAUSS_EMBEDDED_WEIGHTS @ fv)
-    return i15, abs(i15 - i7)
-
-
 def adaptive_gauss_kronrod(
     f: Callable,
     a: float,
@@ -139,7 +128,8 @@ def adaptive_gauss_kronrod(
 ) -> IntegrationResult:
     """Integrate a vectorized integrand over [a, b] to the configured tolerance.
 
-    Raises :class:`ConvergenceError` (with the best estimate attached) if
+    A vector integrand gives arrays of value and error estimate.  Raises
+    :class:`ConvergenceError` (with the best estimate attached) if
     ``config.max_nodes`` evaluations are not enough or the running value or
     error estimate stops being finite.
     """
@@ -151,17 +141,28 @@ def adaptive_gauss_kronrod(
     if a == b:
         return IntegrationResult(0.0, 0.0, 0, 0)
 
-    heap: list[tuple[float, int, float, float, complex]] = []
+    heap: list[tuple] = []
     total = 0.0 + 0.0j
     total_err = 0.0
     evaluated = 0  # panels evaluated so far; also the heap's tie-breaker
+    shape, scale = None, 1.0  # output shape; component error units (vector)
 
     def add_panel(lo: float, hi: float) -> None:
-        nonlocal total, total_err, evaluated
-        val, err = _panel_estimate(f, lo, hi)
+        nonlocal total, total_err, evaluated, shape
+        half = 0.5 * (hi - lo)
+        fv = np.asarray(f(0.5 * (lo + hi) + half * KRONROD_NODES))
+        # the first panel fixes the shape for all later ones
+        if fv.shape != shape and (shape or fv.shape[-1:] != (15,) or fv.ndim > 2):
+            raise ValueError(
+                f"integrand must give shape (15,) or (C, 15) on every panel, got {fv.shape}"
+            )
+        shape = fv.shape
+        val = half * (fv @ KRONROD_WEIGHTS)
+        err = abs(val - half * (fv @ GAUSS_EMBEDDED_WEIGHTS))
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, evaluated, lo, hi, val))
+        rank = err if len(shape) == 1 else float((err / scale).max())
+        heapq.heappush(heap, (-rank, evaluated, lo, hi, val, err))
         evaluated += 1
 
     # overflow and NaN in the integrand surface as a non-finite total,
@@ -170,35 +171,50 @@ def adaptive_gauss_kronrod(
         edges = np.linspace(a, b, 9)  # eight equal panels to start
         for lo, hi in zip(edges[:-1], edges[1:]):
             add_panel(lo, hi)
+        if vector := len(shape) == 2:
+            scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            heap = [(-float((p[-1] / scale).max()),) + p[1:] for p in heap]
+            heapq.heapify(heap)
 
         while True:
+            # scalar bookkeeping stays in Python numbers; vectors converge per component
+            if vector:
+                target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+                finite = np.isfinite(total).all() and np.isfinite(total_err).all()
+                converged = (total_err <= target).all()
+                c = int(np.argmax(total_err / target))  # the worst, or a NaN
+                where, v, e, tgt = f" in component {c}", total[c], total_err[c], target[c]
+            else:
+                target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+                finite = cmath.isfinite(total) and math.isfinite(total_err)
+                converged = total_err <= target
+                where, v, e, tgt = "", total, total_err, target
             # a NaN estimate compares False against any tolerance and would be
             # accepted as converged; a non-finite total never recovers either
-            if not (cmath.isfinite(total) and math.isfinite(total_err)):
+            if not finite:
                 raise ConvergenceError(
-                    f"integrand produced a non-finite value (running value {total}, "
-                    f"error estimate {total_err})",
+                    f"integrand produced a non-finite value{where} (running value "
+                    f"{v}, error estimate {e})",
                     value=total,
                     error_estimate=total_err,
                 )
-            target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-            if total_err <= target:
+            if converged:
                 break
             if _NODES_PER_PANEL * (evaluated + 2) > cfg.max_nodes:
                 raise ConvergenceError(
                     f"quadrature budget of {cfg.max_nodes} nodes exhausted at "
-                    f"error estimate {total_err:.3e} (target {target:.3e})",
+                    f"error estimate {e:.3e}{where} (target {tgt:.3e})",
                     value=total,
                     error_estimate=total_err,
                 )
-            neg_err, _, lo, hi, val = heapq.heappop(heap)
+            _, _, lo, hi, val, err = heapq.heappop(heap)
             total -= val
-            total_err += neg_err  # neg_err is -err
+            total_err -= err
             mid = 0.5 * (lo + hi)
             add_panel(lo, mid)
             add_panel(mid, hi)
 
-    value = total if total.imag != 0.0 else total.real
+    value = total if np.any(np.imag(total) != 0.0) else np.real(total)
     return IntegrationResult(value, total_err, _NODES_PER_PANEL * evaluated, len(heap))
 
 

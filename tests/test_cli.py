@@ -5,11 +5,13 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from adsheat.cli import main
 from adsheat.geometry import BallPoint, point_at_distance
 from adsheat.kernels import MaassKernelQuery, maass_kernel_direct
+from adsheat.quadrature import ConvergenceError
 from adsheat.radial_heat import hyperbolic_heat_kernel
 
 TWO_PI = 2.0 * math.pi
@@ -182,6 +184,51 @@ class TestEvalAds:
         assert rows[0].startswith("1,")
         assert "did not converge" in err
         assert "1 of 2 rows failed" in err
+
+    @pytest.mark.parametrize(
+        "geometry", [["--d", "0.5"], ["--w", "0.3+0.1j", "--y", "0.2j"]], ids=["axis", "twisted"]
+    )
+    def test_theta_sweep_rows_match_single_angle_runs(self, capsys, geometry):
+        base = ["eval-ads", "--t", "0.8"] + geometry
+        thetas = ["0", "1.3", "4", "6.2"]
+        rc, out, _ = run_cli(capsys, base + ["--grid", "theta=" + ",".join(thetas)])
+        assert rc == 0
+        swept = out.splitlines()[1:]
+        singles = []
+        for theta in thetas:
+            rc, out, _ = run_cli(capsys, base + ["--theta", theta])
+            assert rc == 0
+            singles += out.splitlines()[1:]
+        assert swept == singles
+
+    def test_series_failure_lists_every_angle(self, capsys):
+        rc, out, err = run_cli(capsys, ["eval-ads", "--t", "0.03", "--d", "0.1", "--grid", "theta=0,1"])
+        assert rc == 3
+        assert out.splitlines()[1:] == []
+        assert "theta=0.0) did not converge" in err
+        assert "theta=1.0) did not converge" in err
+        assert "2 of 2 rows failed" in err
+
+    def test_integral_failure_drops_only_its_angle(self, capsys, monkeypatch):
+        import adsheat.cli as cli
+
+        argv = ["eval-ads", "--t", "0.8", "--d", "0.5", "--grid", "theta=0,1,2"]
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        good = out.splitlines()
+        real = cli.ads_kernel_integral
+
+        def flaky(t, n, d, theta, *rest):
+            if 1.0 in np.atleast_1d(theta):
+                raise ConvergenceError("synthetic failure")
+            return real(t, n, d, theta, *rest)
+
+        monkeypatch.setattr(cli, "ads_kernel_integral", flaky)
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 3
+        assert out.splitlines() == [good[0], good[1], good[3]]
+        assert "theta=1.0) did not converge: synthetic failure" in err
+        assert "1 of 3 rows failed" in err
 
 
 class TestIdentityCommand:

@@ -229,6 +229,35 @@ class TestAdsSeries:
         assert default.modes_used >= 6
         assert default.value.real == pytest.approx(reference.value.real, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "t, d, modes",
+        [(0.3, 0.5, 33), (1.0, 0.5, 11), (0.1, 0.2, 114), (0.08, 0.12, 152), (2.0, 2.4, 6), (0.07, 0.0, 182)],
+    )
+    def test_modes_used_frozen(self, t, d, modes):
+        # counts of the one-integral-per-mode series; blocks must not move them
+        detail = ads_kernel_series_detail(AdsKernelQuery(t, 1, *pair_at(d), 0.7))
+        assert detail.modes_used == modes
+        assert len(detail.damped_modes) == modes + 1
+
+    @pytest.mark.parametrize("w, y", [((0.46,), (0.0,)), ((0.3 + 0.1j,), (0.2j,))])
+    def test_at_angle_equals_a_fresh_series(self, w, y):
+        w, y = BallPoint(w), BallPoint(y)
+        first = AdsKernelQuery(0.4, 1, w, y, 0.7)
+        other = AdsKernelQuery(0.4, 1, w, y, 4.1)
+        moved = ads_kernel_series_detail(first).at_angle(other.theta_eff)
+        assert moved == ads_kernel_series_detail(other)
+
+    def test_pinned_count_beyond_one_block(self):
+        w, y = pair_at(0.5)
+        detail = ads_kernel_series_detail(
+            AdsKernelQuery(0.02, 1, w, y, 0.3), SeriesConfig(k_max_override=300)
+        )
+        assert detail.modes_used == 300 and len(detail.damped_modes) == 301
+        assert detail.value.real == pytest.approx(
+            ads_kernel_series(AdsKernelQuery(0.02, 1, w, y, 0.3), SeriesConfig(eps_tail=1e-12)).real,
+            abs=1e-10,
+        )
+
     def test_mode_pin_override(self):
         w, y = pair_at(0.5)
         detail = ads_kernel_series_detail(
@@ -288,6 +317,43 @@ class TestAdsCentralIdentity:
             series = ads_kernel_series(query)
             integral = ads_kernel_integral(t, 1, d, theta)
             assert abs(complex(integral) - series / TWO_PI) <= 1e-6
+
+    def test_integral_over_an_angle_array_matches_scalar_calls(self):
+        angles = [0.0, 1.0, 5.5, -0.3]
+        values = ads_kernel_integral(0.5, 1, 0.4, np.array(angles))
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        for angle, value in zip(angles, values):
+            single = ads_kernel_integral(0.5, 1, 0.4, angle)
+            assert not isinstance(single, np.ndarray)
+            assert value == single
+
+    @pytest.mark.parametrize(
+        "t, n, d, abs_tol",
+        [(0.01, 2, 0.0, 1e-11), (0.01, 3, 0.0, 1e-11), (0.0206, 1, 0.0, 1e-6), (0.7, 1, 0.8, 1e-11)],
+    )
+    def test_wing_cutoff_matches_stepping_one_by_one(self, monkeypatch, t, n, d, abs_tol):
+        # the reference: step u by 1.0 from u0 until the envelope is negligible
+        # or u reaches 400; the first cases step 20 times across binades
+        import adsheat.kernels as kernels
+        from adsheat.radial_heat import hyperbolic_heat_kernel_scaled
+
+        def envelope(u):
+            x = np.arccosh(np.cosh(u) * math.cosh(d))
+            return hyperbolic_heat_kernel_scaled(t, n, x) * np.exp((u * u - x * x) / (4.0 * t))
+
+        u_max = 2.0 * math.sqrt(t * (math.log(1.0 / abs_tol) + 20.0))
+        while float(envelope(np.array([u_max]))[0]) > 0.01 * abs_tol and u_max < 400.0:
+            u_max += 1.0
+        ends = []
+        real = kernels.adaptive_gauss_kronrod
+
+        def spy(f, a, b, cfg=None):
+            ends.append(b)
+            return real(f, a, b, cfg)
+
+        monkeypatch.setattr(kernels, "adaptive_gauss_kronrod", spy)
+        ads_kernel_integral(t, n, d, 0.5, quad_config=QuadratureConfig(abs_tol=abs_tol))
+        assert ends[0] == u_max  # the envelope integral runs over [0, u_max]
 
     def test_integral_real_for_real_configuration(self):
         value = ads_kernel_integral(1.0, 1, 0.5, 0.9)

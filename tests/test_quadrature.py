@@ -96,6 +96,109 @@ class TestAdaptive:
         assert res.value == pytest.approx(0.3, abs=1e-6)
 
 
+class TestScalarPathFrozen:
+    # value, error estimate, node and panel counts as frozen from the scalar
+    # engine before vector integrands existed; they must not move by a bit
+    @pytest.mark.parametrize(
+        "f, a, b, cfg, value, error, n_evals, n_panels",
+        [
+            (lambda x: np.exp(-(x**2)), 0.0, 12.0, QuadratureConfig(),
+             0.8862269254527578, 2.179938909528333e-10, 120, 8),
+            (lambda x: np.exp(-(x**2) + 1j * x), -9.0, 9.0, QuadratureConfig(),
+             1.3803884470431431 - 2.7504112709412793e-17j, 7.856987738573171e-11, 240, 12),
+            (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0,
+             QuadratureConfig(abs_tol=1e-6, rel_tol=1e-15),
+             0.300000000651747, 1.401223713540799e-07, 120, 8),
+            (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0, QuadratureConfig(),
+             0.3000000006517469, 6.33836725511266e-11, 210, 11),
+        ],
+        ids=["gaussian", "complex", "oscillatory-abs", "oscillatory"],
+    )
+    def test_bit_identical(self, f, a, b, cfg, value, error, n_evals, n_panels):
+        res = adaptive_gauss_kronrod(f, a, b, cfg)
+        assert res.value == value
+        assert res.error_estimate == error
+        assert (res.n_evals, res.n_panels) == (n_evals, n_panels)
+
+
+class TestVectorIntegrand:
+    @staticmethod
+    def _pair(x):
+        # sizes 1 and 1e-14: int_0^12 e^{-x^2} and 1e-13 int_0^20 e^{-x} cos 3x
+        big = np.exp(-(x**2)) * (x <= 12.0)
+        small = 1e-13 * np.exp(-x) * np.cos(3.0 * x)
+        return np.stack([big, small])
+
+    def test_each_component_meets_its_own_target(self):
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10)
+        res = adaptive_gauss_kronrod(self._pair, 0.0, 20.0, cfg)
+        exact = np.array([
+            math.sqrt(math.pi) / 2.0,
+            1e-13 * (1.0 + math.exp(-20.0) * (3.0 * math.sin(60.0) - math.cos(60.0))) / 10.0,
+        ])
+        assert res.value.shape == res.error_estimate.shape == (2,)
+        assert exact[1] == pytest.approx(1e-14, rel=1e-6)
+        target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(res.value))
+        assert np.all(res.error_estimate <= target)
+        # the small component is accurate relative to itself, not to the big one
+        assert np.all(np.abs(res.value - exact) <= 1e-9 * np.abs(exact))
+
+    def test_one_panel_per_call_and_scalar_agreement(self):
+        cfg = QuadratureConfig()
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.stack([np.sin(x), np.cos(x) ** 2])
+
+        res = adaptive_gauss_kronrod(f, 0.0, 3.0, cfg)
+        assert set(calls) == {15} and res.n_evals == 15 * len(calls)
+        for c, g in enumerate((np.sin, lambda x: np.cos(x) ** 2)):
+            assert res.value[c] == pytest.approx(adaptive_gauss_kronrod(g, 0.0, 3.0, cfg).value, rel=1e-12)
+
+    def test_complex_components(self):
+        res = adaptive_gauss_kronrod(
+            lambda x: np.stack([np.exp(-(x**2) + 1j * x), np.exp(-(x**2))]), -9.0, 9.0
+        )
+        assert res.value.dtype == complex
+        assert res.value[0] == pytest.approx(math.sqrt(math.pi) * math.exp(-0.25), rel=1e-12)
+
+    def test_nan_in_one_component_raises_with_partial_arrays(self):
+        def f(x):
+            out = np.stack([np.exp(-x), np.exp(-2.0 * x)])
+            out[1, 3] = np.nan
+            return out
+
+        with pytest.raises(ConvergenceError, match="component 1") as exc_info:
+            adaptive_gauss_kronrod(f, 0.0, 5.0, QuadratureConfig())
+        err = exc_info.value
+        assert err.value.shape == err.error_estimate.shape == (2,)
+        assert np.isfinite(err.value[0]) and np.isnan(err.value[1])
+
+    def test_budget_exhaustion_carries_partial_arrays(self):
+        cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_nodes=150)
+        with pytest.raises(ConvergenceError) as exc_info:
+            adaptive_gauss_kronrod(
+                lambda x: np.stack([np.exp(-x), np.cos(40.0 * x)]), 0.0, 50.0, cfg
+            )
+        assert exc_info.value.value.shape == (2,)
+
+    @pytest.mark.parametrize("shape", [(3, 14), (15, 3), (2, 3, 15), ()])
+    def test_wrong_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            adaptive_gauss_kronrod(lambda x: np.ones(shape), 0.0, 1.0)
+
+    def test_shape_must_not_change_between_panels(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.ones((2 if len(calls) == 1 else 3, 15))
+
+        with pytest.raises(ValueError, match="on every panel"):
+            adaptive_gauss_kronrod(f, 0.0, 1.0)
+
+
 class TestFixedRule:
     def test_polynomial_exactness(self):
         # one 15-point panel is exact for degree <= 29
