@@ -41,7 +41,9 @@ interpolated in the even variable xi = x^2 through seven sample nodes
 placed just outside the noisy zone.  The node scale grows with n because
 the cancellation gets one power of x worse per order, while the degree-6
 interpolation error over the widened window stays negligible (the nearest
-singularity of the interpolated function sits at xi = -pi^2).
+singularity of the interpolated function sits at xi = -pi^2).  Masks split
+the points only when some x is below the threshold or, unscaled, has a
+Gaussian that underflows; otherwise the whole array is summed directly.
 """
 
 from __future__ import annotations
@@ -151,12 +153,13 @@ def millson_term_sum(n: int) -> GaussianTermSum:
 
 
 @lru_cache(maxsize=None)
-def _term_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Float arrays (coeff, tpow, xpow, cothpow, sinh_net_pow) for order n.
+def _term_arrays(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Float arrays (coeff, tpow) and the (base, exponents) factors for order n.
 
-    cothpow is the cosh power; sinh_net_pow = sinhinvpow - coshpow >= 0 is
-    what remains of the sinh power after pairing each cosh with a sinh to
-    form coth.
+    The factors are x^xpow, coth^coshpow and sinh^-(sinhinvpow - coshpow),
+    the sinh power left after pairing each cosh with a sinh to form coth.
+    Exact shortcuts: a factor whose exponent is 0 on every term is dropped
+    (y**0 == 1); exponents that are all 1 become None, for no pow (y**1 == y).
     """
     ts = millson_term_sum(n).terms
     coeff = np.array([float(t.coeff) for t in ts])
@@ -166,7 +169,10 @@ def _term_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     net = np.array([t.sinhinvpow - t.coshpow for t in ts], dtype=float)
     if np.any(net < 0):
         raise AssertionError("term algebra produced sinhinvpow < coshpow")
-    return coeff, tpow, xpow, cothpow, net
+    bases = (lambda y: y, lambda y: 1.0 / np.tanh(y), np.sinh)
+    powers = (xpow, cothpow, -net)
+    factors = tuple((b, None if np.all(p == 1.0) else p) for b, p in zip(bases, powers) if p.any())
+    return coeff, tpow, factors
 
 
 def heat_prefactor(t: float, n: int) -> float:
@@ -176,18 +182,13 @@ def heat_prefactor(t: float, n: int) -> float:
 
 def _term_sum_values(n: int, t: float, x: np.ndarray) -> np.ndarray:
     """Evaluate the order-n term sum (without Gaussian or prefactor) at x > 0."""
-    coeff, tpow, xpow, cothpow, net = _term_arrays(n)
+    coeff, tpow, factors = _term_arrays(n)
     xc = x[:, None]
+    parts = coeff * t ** (-tpow)
     with np.errstate(over="ignore"):
-        coth = 1.0 / np.tanh(xc)
-        sinh = np.sinh(xc)
-        parts = (
-            coeff
-            * t ** (-tpow)
-            * xc**xpow
-            * coth**cothpow
-            * sinh ** (-net)
-        )
+        for base, power in factors:
+            b = base(xc)
+            parts = parts * (b if power is None else b**power)
     return parts.sum(axis=1)
 
 
@@ -233,31 +234,35 @@ def _validate_n(n: int) -> int:
 def _eval_kernel(t: float, n: int, x, scaled: bool):
     t, n = _validate_t(t), _validate_n(n)
     x_arr = np.asarray(x, dtype=float)
-    scalar_in = x_arr.ndim == 0
     flat = np.atleast_1d(x_arr).ravel()
-    if flat.size and (np.any(~np.isfinite(flat)) or np.any(flat < 0.0)):
+    # NaN propagates through min and max, so it fails this test as well
+    lo, hi = (flat.min(), flat.max()) if flat.size else (math.inf, 0.0)
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("distance x must be finite and >= 0")
 
     pref = heat_prefactor(t, n)
-    out = np.zeros_like(flat)
-    small = flat < small_x_threshold(n)
-    if scaled:
-        regular = ~small
-    else:
-        # the Gaussian underflows to an exact 0 well before the exponent
-        # hits the cutoff, so skip those points instead of computing inf * 0
-        dead = (flat * flat) / (4.0 * t) > GAUSS_EXP_CUTOFF
-        regular = ~small & ~dead
-    if np.any(regular):
-        xr = flat[regular]
+    threshold = small_x_threshold(n)
+
+    def regular_values(xr: np.ndarray) -> np.ndarray:
         vals = _term_sum_values(n, t, xr)
         if not scaled:
             vals = vals * np.exp(-(xr * xr) / (4.0 * t))
-        out[regular] = pref * vals
-    if np.any(small):
-        out[small] = pref * _interp_small_x(n, t, flat[small], scaled)
+        return pref * vals
 
-    if scalar_in:
+    # the Gaussian underflows to an exact 0 well before the exponent hits the
+    # cutoff, so such dead points are skipped instead of computing inf * 0
+    if lo >= threshold and (scaled or hi * hi / (4.0 * t) <= GAUSS_EXP_CUTOFF):
+        out = regular_values(flat)
+    else:
+        out = np.zeros_like(flat)
+        small = flat < threshold
+        regular = ~small if scaled else ~small & ((flat * flat) / (4.0 * t) <= GAUSS_EXP_CUTOFF)
+        if np.any(regular):
+            out[regular] = regular_values(flat[regular])
+        if np.any(small):
+            out[small] = pref * _interp_small_x(n, t, flat[small], scaled)
+
+    if x_arr.ndim == 0:
         return float(out[0])
     return out.reshape(x_arr.shape)
 

@@ -143,7 +143,9 @@ def check_maass_pde(t: float, kappa: float, *, step: float = 0.02) -> ResidualRe
     the worst absolute residual plus the same normalized by max |d/dt v|
     over the grid (d/dt v changes sign inside any reasonable grid, so
     pointwise relative error is not a usable metric).  The stencil error
-    is O(step^2) and grows with |kappa|; step must be in (0, 0.1).
+    is O(step^2) and grows with |kappa|; step must be in (0, 0.1).  Mirror
+    points (Im w -> -Im w) and the off-disc corners repeat distances, so
+    each distinct distance is evaluated once (3204 of 6889 at step 0.02).
     """
     kappa = require_half_integer(kappa)
     if not (t > _DISC_T_STEP):
@@ -164,9 +166,10 @@ def check_maass_pde(t: float, kappa: float, *, step: float = 0.02) -> ResidualRe
     dists = np.where(valid, disc_distance(np.where(valid, w, 0.0), y0), 0.0)
     phase = np.exp(-2j * kappa * np.angle(1.0 - w * np.conjugate(y0)))
 
+    distinct, where = np.unique(dists, return_inverse=True)
     levels = {}
     for tl in (t - _DISC_T_STEP, t, t + _DISC_T_STEP):
-        prof = maass_radial_profile(tl, 1, kappa, dists.ravel()).reshape(dists.shape)
+        prof = maass_radial_profile(tl, 1, kappa, distinct)[where].reshape(dists.shape)
         levels[tl] = phase * prof
 
     dt_v = (levels[t + _DISC_T_STEP] - levels[t - _DISC_T_STEP]) / (2.0 * _DISC_T_STEP)

@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from adsheat.cli import main
+from adsheat import cli
+from adsheat.cli import build_parser, main
 from adsheat.geometry import BallPoint, point_at_distance
 from adsheat.kernels import MaassKernelQuery, maass_kernel_direct
 from adsheat.quadrature import ConvergenceError
@@ -93,6 +94,38 @@ class TestEvalHyperbolic:
     def test_domain_error_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, ["eval-hyperbolic", "--t", "-1"])
         assert rc == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once_across_calls(self, capsys, monkeypatch):
+        calls = []
+
+        def spy():
+            calls.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", spy)
+        try:
+            for _ in range(2):
+                rc, _, _ = run_cli(capsys, ["eval-hyperbolic", "--x", "1"])
+                assert rc == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        grid = ["eval-hyperbolic", "--grid", "x=0.5,1", "--grid", "t=1,2"]
+        plain = ["eval-hyperbolic", "--x", "1"]
+
+        def alone(argv):
+            cli._parser.cache_clear()
+            return run_cli(capsys, argv)
+
+        expected = [alone(grid), alone(plain)]
+        cli._parser.cache_clear()
+        assert [run_cli(capsys, grid), run_cli(capsys, plain)] == expected
+        assert [run_cli(capsys, plain), run_cli(capsys, grid)] == expected[::-1]
 
 
 class TestEvalMaass:

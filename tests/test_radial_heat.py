@@ -184,6 +184,36 @@ class TestEvaluation:
         for xi, oi in zip(xs, out):
             assert float(oi) == hyperbolic_heat_kernel(0.5, 2, float(xi))
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mixed_array_matches_scalar_bits(self, n, scaled):
+        # small-x, regular and (at t = 0.05, x > 11.8) dead points in one
+        # array take the masked path; the regular-only slice takes the
+        # unmasked one; every entry must equal the scalar call bit for bit
+        kernel = hyperbolic_heat_kernel_scaled if scaled else hyperbolic_heat_kernel
+        t, thr = 0.05, small_x_threshold(n)
+        xs = np.array([0.0, 0.3 * thr, 0.999 * thr, thr, 0.3, 1.0, 5.0, 11.0, 12.0, 40.0])
+        for arr in (xs, xs[3:8], xs[::-1].reshape(2, 5)):
+            out = kernel(t, n, arr)
+            assert out.shape == arr.shape
+            for xi, oi in zip(arr.ravel(), out.ravel()):
+                assert float(oi) == kernel(t, n, float(xi))
+
+    @pytest.mark.parametrize("kernel", [hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_bad_entry_anywhere_rejected(self, kernel, bad):
+        for pos in (0, 2, 4):
+            xs = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+            xs[pos] = bad
+            with pytest.raises(ValueError, match=r"distance x must be finite and >= 0"):
+                kernel(1.0, 2, xs)
+
+    @pytest.mark.parametrize("kernel", [hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled])
+    def test_empty_array(self, kernel):
+        for shape in ((0,), (2, 0)):
+            out = kernel(1.0, 1, np.empty(shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+
     def test_prefactor(self):
         t, n = 0.7, 2
         expected = math.exp(-n * n * t) / (

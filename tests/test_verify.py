@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from adsheat import verify
 from adsheat.geometry import point_at_distance
+from adsheat.kernels import maass_radial_profile
 from adsheat.verify import (
     CheckOutcome,
     DEFAULT_SUITES,
@@ -141,6 +143,35 @@ class TestMaassPde:
         # exceeds 5e-3, which is why the default suite refines to 0.01
         report = check_maass_pde(1.0, 1.0, step=0.02)
         assert report.max_rel_residual > 5e-3
+
+    @pytest.mark.parametrize(
+        "t, kappa, max_abs, max_rel",
+        [
+            (0.8, 0.0, 0.0001111834195880318, 0.0012416437844897268),
+            (1.0, 0.5, 0.00011395848598610286, 0.0014923584371296858),
+        ],
+    )
+    def test_residuals_frozen(self, t, kappa, max_abs, max_rel):
+        # frozen from the version that evaluated every lattice point; the
+        # distinct-distance evaluation must reproduce them to the bit
+        report = check_maass_pde(t, kappa)
+        assert report.max_abs_residual == max_abs
+        assert report.max_rel_residual == max_rel
+
+    def test_each_distinct_distance_evaluated_once(self, monkeypatch):
+        sizes = []
+
+        def spy(t, n, kappa, d_values):
+            d = np.asarray(d_values)
+            assert np.unique(d).size == d.size
+            sizes.append(d.size)
+            return maass_radial_profile(t, n, kappa, d_values)
+
+        monkeypatch.setattr(verify, "maass_radial_profile", spy)
+        check_maass_pde(1.0, 0.5)
+        # 6889 lattice points at step 0.02, one call per time level
+        assert len(sizes) == 3
+        assert max(sizes) <= 3204
 
     def test_config_echo_reports_grid(self):
         report = check_maass_pde(0.8, 0.5)
