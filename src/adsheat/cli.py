@@ -14,8 +14,7 @@ of ``key = value`` lines (explicit flags win); ``--grid name=lo:hi:count``
 multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
 computed one after another and emitted in grid order, so repeated runs are
-byte-identical.  ``--jobs`` (and the config key ``jobs``) is accepted for
-old command lines and ignored.
+byte-identical.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
@@ -261,7 +260,6 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
         if not grid_entries:
             grid_entries = [s.strip() for s in config["grid"].split(";") if s.strip()]
         del config["grid"]
-    config.pop("jobs", None)  # deprecated and ignored, like --jobs
     for key in ("output", "format"):
         if key in config:
             raw = config.pop(key)
@@ -664,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("csv", "json"),
             default=None,
             help="csv (default) or json" if command != "verify" else "json only",
-        )
-        sub.add_argument(
-            "--jobs", type=int, default=None, help="ignored (deprecated); rows run in order"
         )
         if command == "verify":
             sub.add_argument(

@@ -39,10 +39,12 @@ with exponential growth (cosh modes, shifted complex squares) is evaluated
 through :func:`hyperbolic_heat_kernel_scaled` with the exponents combined
 analytically, so no inf * 0 can form; damped series modes fold the
 ``e^{-t k^2}`` factor into the same exponent, which makes the combined
-exponent globally <= 0 and mode evaluation stable for every k.  The series
-integrates a block of modes, and the integral route all shifted copies of
-one angle, as one vector quadrature sharing x(u) and q_t(x(u)); neither the
-modes nor the wing truncation depends on theta, so a theta sweep reuses them.
+exponent globally <= 0 and mode evaluation stable for every k.  One adaptive
+vector Gauss-Kronrod quadrature serves each batch: the series integrates a
+block of modes, :func:`maass_radial_profile` a block of distances and the
+integral route all shifted copies of one angle, each sharing its panels (and,
+for modes and copies, x(u) and q_t(x(u))); neither the modes nor the wing
+truncation depends on theta, so a theta sweep reuses them.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .quadrature import (
     ConvergenceError,
     QuadratureConfig,
     adaptive_gauss_kronrod,
-    gauss_legendre_rule,
 )
 from .radial_heat import (
     _validate_n,
@@ -100,6 +101,12 @@ MAX_FIBER_MODES = 256
 
 # t * (2 kappa)^2 beyond which the undamped kernel overflows double range
 _UNDAMPED_EXP_LIMIT = 690.0
+
+# u + d stays below this, short of where cosh u * cosh d overflows (~711)
+_U_CAP = 700.0
+
+# tolerances of the radial profile; abs_tol also sets its truncation point
+_PROFILE_QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
 
 
 def _undamped_mode(t: float, kappa: float) -> int:
@@ -233,35 +240,30 @@ def _fiber_distance(cosh_u, cosh_d):
     return np.arccosh(cosh_u * cosh_d)
 
 
-def _cosh_modes(t: float, m: int, u, x, shift: float = 0.0):
-    """``exp(m u - g) + exp(-m u - g)`` with ``g = x^2/(4t) + shift``.
-
-    Times ``hyperbolic_heat_kernel_scaled(t, n, x)`` this is
-    ``q_t(x) * 2 cosh(m u) * exp(-shift)``, formed so the Gaussian of q_t
-    and the growing cosh never meet as separate factors.  Callers form the
-    q_scaled factor themselves: when this helper also formed and freed it,
-    each chunk of :func:`maass_radial_profile` faulted its large
-    temporaries in anew (1.6x the page faults of the semigroup check) and
-    ``adsheat verify`` ran 15-25% slower on one CPU of a 2-vCPU VM.
-    """
-    g = x * x / (4.0 * t) + shift
-    return np.exp(m * u - g) + np.exp(-m * u - g)
-
-
-def _cosh_mode_integral(t: float, n: int, m, d: float, cfg: QuadratureConfig, shift=0.0):
+def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0):
     """2 * int_0^u_max q_t(x(u)) cosh(m u) du * e^{-shift}, x(u) = arccosh(cosh u cosh d).
 
-    ``m`` and ``shift`` may be columns, one row per mode, sharing one vector
-    quadrature.  Damping (shift = t m^2) makes the exponents of
-    :func:`_cosh_modes` globally <= 0 [m u - x^2/4t - t m^2 =
-    -(u - 2tm)^2/4t - (x^2 - u^2)/4t], so nothing overflows for any mode.
+    Either ``m`` and ``shift`` (one row per mode) or ``d`` (one row per
+    distance) may be a column, all rows sharing one vector quadrature.  The
+    integrand is ``q_scaled(x) * (e^{mu-g} + e^{-mu-g})`` with ``g = x^2/4t +
+    shift``, so the Gaussian of q_t and the growing cosh never meet as
+    separate factors.  Damping (shift = t m^2) makes both exponents globally
+    <= 0 [m u - x^2/4t - t m^2 = -(u - 2tm)^2/4t - (x^2 - u^2)/4t], so
+    nothing overflows for any mode.  Each row is 0 past its own u = 700 - d,
+    short of where cosh u cosh d overflows; the integrand is negligible there.
     """
-    cosh_d = math.cosh(d)
-    u_max = _mode_u_max(t, int(np.max(m)), cfg.abs_tol)
+    d = d[:, None] if np.ndim(d) else d
+    cosh_d, u_stop = (np.cosh(d) if np.ndim(d) else math.cosh(d)), _U_CAP - d
+    u_max = min(_mode_u_max(t, int(np.max(m)), cfg.abs_tol), float(np.max(u_stop)))
+    cut = float(np.min(u_stop)) < u_max
 
     def integrand(u: np.ndarray) -> np.ndarray:
+        if cut:
+            live, u = u <= u_stop, np.minimum(u, u_stop)
         x = _fiber_distance(np.cosh(u), cosh_d)
-        return hyperbolic_heat_kernel_scaled(t, n, x) * _cosh_modes(t, m, u, x, shift)
+        g = x * x / (4.0 * t) + shift
+        v = hyperbolic_heat_kernel_scaled(t, n, x) * (np.exp(m * u - g) + np.exp(-m * u - g))
+        return np.where(live, v, 0.0) if cut else v
 
     return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value
 
@@ -329,12 +331,12 @@ def maass_radial_profile(
     """Radial factor V(d) of the kernel, batched over many distances.
 
     ``v_{t,n,kappa}(w,y) = phase_factor(w,y,kappa) * V(hyperbolic_distance
-    (w,y))``; this evaluates V on an array of distances with one fixed
-    composite Gauss-Legendre rule shared by all of them (the adaptive
-    scalar route would be needlessly slow inside finite-difference grids).
-    The rule density is far inside the overkill regime for these entire
-    integrands, so accuracy is limited by the kernel evaluation itself
-    (~1e-12 relative).
+    (w,y))``; this evaluates V on an array of distances (each < 700) with
+    the integral of :func:`maass_kernel_substituted`, one vector quadrature
+    per block of 512 distances sharing its panels.  Each distance is held to
+    max(1e-13, 1e-12 |V|) by the Gauss-Kronrod error estimate; a block that
+    misses it raises :class:`ConvergenceError`.  As in the scalar route, the
+    integral for d stops by u = 700 - d, whatever else shares its block.
     """
     t = _validate_t(t)
     n = _validate_n(n)
@@ -342,22 +344,13 @@ def maass_radial_profile(
     d = np.asarray(d_values, dtype=float)
     scalar_in = d.ndim == 0
     d = np.atleast_1d(d)
-    if d.size and (np.any(~np.isfinite(d)) or np.any(d < 0.0)):
-        raise ValueError("distances must be finite and >= 0")
-
-    u_max = _mode_u_max(t, m, 1e-13)
-    n_panels = max(24, int(math.ceil(u_max * 40.0 / 15.0)))
-    u, wts = gauss_legendre_rule(0.0, u_max, n_panels, order=15)
-    cosh_u = np.cosh(u)
+    if d.size and not (np.all(np.isfinite(d)) and d.min() >= 0.0 and d.max() < _U_CAP):
+        raise ValueError(f"distances must be finite, >= 0 and < {_U_CAP:g}")
 
     out = np.empty(d.shape)
     chunk = 512  # distances per block; bounds the (rows, nodes) temporaries
     for lo in range(0, d.size, chunk):
-        dc = d[lo : lo + chunk]
-        x = _fiber_distance(cosh_u[None, :], np.cosh(dc)[:, None])
-        s = hyperbolic_heat_kernel_scaled(t, n, x)
-        modes = _cosh_modes(t, m, u[None, :], x)
-        out[lo : lo + chunk] = (s * modes) @ wts
+        out[lo : lo + chunk] = _cosh_mode_integral(t, n, m, d[lo : lo + chunk], _PROFILE_QUAD)
     if scalar_in:
         return float(out[0])
     return out
@@ -491,7 +484,7 @@ def ads_kernel_integral(
     # the first of u0, u0 + 1, (u0 + 1) + 1, ... (rounded stepwise) past 400 or with
     # a negligible envelope; candidates end near 700 - d, where cosh u cosh d overflows
     u0 = 2.0 * math.sqrt(t * (math.log(1.0 / q_cfg.abs_tol) + 20.0))
-    candidates = np.cumsum([u0] + [1.0] * (max(0, math.ceil(min(400.0, 700.0 - d) - u0)) + 1))
+    candidates = np.cumsum([u0] + [1.0] * (max(0, math.ceil(min(400.0, _U_CAP - d) - u0)) + 1))
     above = (envelope(candidates[:-1]) > 0.01 * q_cfg.abs_tol) & (candidates[:-1] < 400.0)
     u_max = float(candidates[np.argmin(np.append(above, False))])
 

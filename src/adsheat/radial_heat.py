@@ -42,13 +42,15 @@ placed just outside the noisy zone.  The node scale grows with n because
 the cancellation gets one power of x worse per order, while the degree-6
 interpolation error over the widened window stays negligible (the nearest
 singularity of the interpolated function sits at xi = -pi^2).  Masks split
-the points only when some x is below the threshold or, unscaled, has a
-Gaussian that underflows; otherwise the whole array is summed directly.
+the points only when some x is below the threshold, has a sinh that
+overflows or, unscaled, a Gaussian that underflows; otherwise the whole
+array is summed directly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +59,9 @@ import numpy as np
 
 # exp(-x^2/4t) underflows anyway once the exponent passes ~745; cut early
 GAUSS_EXP_CUTOFF = 700.0
+
+# sinh x overflows past this x; every term carries a net negative sinh power
+_SINH_FINITE_MAX = math.asinh(sys.float_info.max)
 
 
 def small_x_threshold(n: int) -> float:
@@ -249,14 +254,19 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
             vals = vals * np.exp(-(xr * xr) / (4.0 * t))
         return pref * vals
 
-    # the Gaussian underflows to an exact 0 well before the exponent hits the
-    # cutoff, so such dead points are skipped instead of computing inf * 0
-    if lo >= threshold and (scaled or hi * hi / (4.0 * t) <= GAUSS_EXP_CUTOFF):
+    # dead points are exact zeros, skipped instead of computing inf * 0: the
+    # Gaussian underflows well before the exponent hits the cutoff, and past
+    # the sinh overflow every term is 0 (or inf * 0 where x^p overflows too)
+    def live(y):
+        ok = y <= _SINH_FINITE_MAX
+        return ok if scaled else ok & (y * y / (4.0 * t) <= GAUSS_EXP_CUTOFF)
+
+    if lo >= threshold and live(hi):
         out = regular_values(flat)
     else:
         out = np.zeros_like(flat)
         small = flat < threshold
-        regular = ~small if scaled else ~small & ((flat * flat) / (4.0 * t) <= GAUSS_EXP_CUTOFF)
+        regular = ~small & live(flat)
         if np.any(regular):
             out[regular] = regular_values(flat[regular])
         if np.any(small):

@@ -46,18 +46,19 @@ class TestEvalHyperbolic:
         assert [r.split(",")[0] for r in rows] == ["0.5"] * 3 + ["1"] * 3
         assert [r.split(",")[2] for r in rows[:3]] == ["1", "1.5", "2"]
 
-    def test_byte_determinism_across_jobs(self, capsys, tmp_path):
-        # --jobs and the config key jobs are ignored, kept so old command
-        # lines and config files still run
+    def test_jobs_flag_and_config_key_are_rejected(self, capsys, tmp_path):
+        # --jobs and the config key jobs are not options: usage errors
         argv = ["eval-hyperbolic", "--grid", "x=0.1:3:7", "--grid", "t=0.5,1,2"]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("jobs = 3\n")
-        runs = [
-            run_cli(capsys, argv + extra)
-            for extra in (["--jobs", "1"], ["--jobs", "4"], ["--jobs", "0"], ["--config", str(cfg)])
-        ]
-        assert [rc for rc, _, _ in runs] == [0, 0, 0, 0]
-        assert len({out for _, out, _ in runs}) == 1
+        for extra in (["--jobs", "1"], ["--jobs", "0"]):
+            with pytest.raises(SystemExit) as exc:  # argparse exits itself
+                main(argv + extra)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        rc, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert "unknown config key 'jobs'" in err
 
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(
@@ -205,11 +206,20 @@ class TestEvalAds:
         assert float(cells[7]) <= 1e-6
         assert int(cells[6]) % 2 == 1  # 2k+1 terms
 
+    def test_large_time_modes_stay_below_cosh_overflow(self, capsys):
+        # modes k >= 3 at t = 100 reach u_max ~ 4tk past 710 unless capped
+        rc, out, err = run_cli(capsys, ["eval-ads", "--t", "100", "--d", "0.5"])
+        assert rc == 0, err
+        cells = out.splitlines()[1].split(",")
+        assert float(cells[4]) > 0.0
+        # |s / 2 pi - integral| within eps_tail + abs_tol (the defaults)
+        assert float(cells[7]) <= 1e-9 + 1e-11
+
     def test_partial_failure_flags_exit_code(self, capsys):
         # t = 0.005 exceeds the fiber-mode cap; t = 1 succeeds
         rc, out, err = run_cli(
             capsys,
-            ["eval-ads", "--grid", "t=0.005,1", "--d", "0.3", "--jobs", "1"],
+            ["eval-ads", "--grid", "t=0.005,1", "--d", "0.3"],
         )
         assert rc == 3
         rows = out.splitlines()[1:]

@@ -14,6 +14,7 @@ from adsheat.geometry import (
 )
 from adsheat.kernels import (
     MAX_FIBER_MODES,
+    _mode_u_max,
     AdsKernelQuery,
     MaassKernelQuery,
     SeriesConfig,
@@ -26,7 +27,8 @@ from adsheat.kernels import (
     theta_identity_lhs,
     theta_identity_rhs,
 )
-from adsheat.quadrature import ConvergenceError, QuadratureConfig
+from adsheat.quadrature import ConvergenceError, QuadratureConfig, gauss_legendre_rule
+from adsheat.radial_heat import hyperbolic_heat_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,8 +162,8 @@ class TestRadialProfile:
             assert value == pytest.approx(scalar.real, rel=1e-11)
 
     def test_chunking_is_transparent(self):
-        # 740 distances cross the 512-row block boundary; block sizes change
-        # BLAS blocking, so agreement is to rounding, not to the bit
+        # 740 distances cross the 512-row block boundary; each block refines
+        # its own panels, so agreement is to rounding, not to the bit
         ds = np.linspace(0.0, 2.0, 37)
         a = maass_radial_profile(0.7, 1, 0.5, np.tile(ds, 20))
         b = maass_radial_profile(0.7, 1, 0.5, ds)
@@ -171,6 +173,39 @@ class TestRadialProfile:
         ds = np.linspace(0.0, 3.0, 20)
         profile = maass_radial_profile(1.0, 1, 0.0, ds)
         assert np.all(np.diff(profile) < 0)
+
+    @pytest.mark.parametrize(
+        "t, n, kappa",
+        [(1.0, 1, 0.0), (0.8, 1, 1.0), (0.3, 1, 0.0), (0.7, 1, 0.0), (1.0, 2, 0.0), (1.0, 1, 0.5)],
+    )
+    def test_matches_dense_fixed_rule(self, t, n, kappa):
+        # reference: 2 int q_t(x(u)) cosh(2 kappa u) du by composite
+        # Gauss-Legendre at 160 nodes per unit of u, truncated at 1e-16
+        m = round(2 * kappa)
+        ds = np.linspace(0.0, 12.0, 97)
+        u_max = _mode_u_max(t, m, 1e-16)
+        u, wts = gauss_legendre_rule(0.0, u_max, math.ceil(160 * u_max / 15), order=15)
+        x = np.arccosh(np.cosh(u) * np.cosh(ds)[:, None])
+        reference = (hyperbolic_heat_kernel(t, n, x) * 2.0 * np.cosh(m * u)) @ wts
+        profile = maass_radial_profile(t, n, kappa, ds)
+        keep = np.abs(reference) > 1e-10
+        assert keep.sum() >= 38
+        rel = np.abs(profile - reference)[keep] / np.abs(reference[keep])
+        assert rel.max() <= 2e-14
+
+    def test_distances_up_to_the_overflow_cap(self):
+        # u stops at 700 - d, short of where cosh u cosh d overflows
+        assert maass_radial_profile(1.0, 1, 0.0, [699.0])[0] == 0.0
+        with pytest.raises(ValueError, match="< 700"):
+            maass_radial_profile(1.0, 1, 0.0, [700.0])
+
+    @pytest.mark.parametrize("d_big", [695.0, 699.0])
+    def test_far_distance_does_not_cut_its_block(self, d_big):
+        # a far distance stops its own integral early, not its neighbours'
+        alone = maass_radial_profile(1.0, 1, 0.0, [0.0, 0.5])
+        mixed = maass_radial_profile(1.0, 1, 0.0, [0.0, 0.5, d_big])
+        assert mixed[2] == 0.0
+        np.testing.assert_allclose(mixed[:2], alone, rtol=1e-12, atol=0.0)
 
 
 class TestAdsSeries:

@@ -177,6 +177,14 @@ class TestEvaluation:
         assert hyperbolic_heat_kernel(0.001, 1, 4.0) == 0.0
         assert hyperbolic_heat_kernel_scaled(0.001, 1, 4.0) > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, x", [(1, 1e300), (2, 1e160), (3, 1e200), (2, 711.0)])
+    def test_scaled_past_sinh_overflow_is_zero(self, n, x):
+        # sinh x overflows, alone or with x^p (inf * 0 would give NaN)
+        assert hyperbolic_heat_kernel_scaled(1.0, n, x) == 0.0
+        out = hyperbolic_heat_kernel_scaled(1.0, n, np.array([1.0, x]))
+        assert out.tolist() == [hyperbolic_heat_kernel_scaled(1.0, n, 1.0), 0.0]
+
     def test_array_matches_scalar(self):
         xs = np.array([1e-5, 0.01, 0.5, 2.0, 10.0, 60.0])
         out = hyperbolic_heat_kernel(0.5, 2, xs)

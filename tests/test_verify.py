@@ -152,11 +152,17 @@ class TestMaassPde:
         ],
     )
     def test_residuals_frozen(self, t, kappa, max_abs, max_rel):
-        # frozen from the version that evaluated every lattice point; the
-        # distinct-distance evaluation must reproduce them to the bit
+        # the parametrized values are those of the fixed composite rule the
+        # adaptive profile replaced, to be kept to six significant digits;
+        # the adaptive profile's own values are frozen to the bit
+        frozen = {
+            (0.8, 0.0): (0.00011118341959436007, 0.001241643784560446),
+            (1.0, 0.5): (0.00011395848602695213, 0.0014923584376648363),
+        }
         report = check_maass_pde(t, kappa)
-        assert report.max_abs_residual == max_abs
-        assert report.max_rel_residual == max_rel
+        residuals = (report.max_abs_residual, report.max_rel_residual)
+        assert residuals == frozen[t, kappa]
+        assert residuals == pytest.approx((max_abs, max_rel), rel=1e-6)
 
     def test_each_distinct_distance_evaluated_once(self, monkeypatch):
         sizes = []
