@@ -22,6 +22,7 @@ from .kernels import (
     ads_kernel_series_detail,
     maass_kernel_direct,
     maass_kernel_substituted,
+    maass_direct_profile,
     maass_radial_profile,
     theta_identity_lhs,
     theta_identity_rhs,
@@ -83,6 +84,7 @@ __all__ = [
     "maass_kernel_substituted",
     "maass_kernel_direct",
     "maass_radial_profile",
+    "maass_direct_profile",
     "ads_kernel_series",
     "ads_kernel_series_detail",
     "ads_kernel_integral",

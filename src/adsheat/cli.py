@@ -13,8 +13,11 @@ of ``key = value`` lines (explicit flags win); ``--grid name=lo:hi:count``
 (inclusive linspace) or ``--grid name=v1,v2,...`` sweeps a parameter, and
 multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
-computed one after another and emitted in grid order, so repeated runs are
-byte-identical.
+emitted in grid order and repeated runs are byte-identical.  ``eval-ads``
+and ``eval-maass`` rows that differ only in the innermost column (theta, d)
+form one group that shares each quadrature, so a row's last digits can
+depend on its group; the ``--max-nodes`` budget holds per integral, that is
+per group, and a group that fails is retried row by row.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
@@ -37,16 +40,22 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .geometry import TWO_PI, BallPoint, FiberAngle, hyperbolic_distance, point_at_distance
+from .geometry import (
+    TWO_PI,
+    BallPoint,
+    FiberAngle,
+    hyperbolic_distance,
+    phase_factor,
+    point_at_distance,
+)
 from .kernels import (
     DIRECT_ROUTE_MIN_DISTANCE,
     AdsKernelQuery,
-    MaassKernelQuery,
     SeriesConfig,
     ads_kernel_integral,
     ads_kernel_series_detail,
-    maass_kernel_direct,
-    maass_kernel_substituted,
+    maass_direct_profile,
+    maass_radial_profile,
     theta_identity_lhs,
     theta_identity_rhs,
 )
@@ -113,7 +122,9 @@ class _Param:
 _TOL_PARAMS: dict[str, _Param] = {
     "abs_tol": _Param(_conv_float, 1e-11, help="quadrature absolute tolerance"),
     "rel_tol": _Param(_conv_float, 1e-9, help="quadrature relative tolerance"),
-    "max_nodes": _Param(_conv_int, 100_000, help="quadrature node budget per integral"),
+    "max_nodes": _Param(
+        _conv_int, 100_000, help="quadrature node budget per integral; one may serve a row group"
+    ),
 }
 
 _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
@@ -412,26 +423,31 @@ def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, A
 def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
     quad = _quad_config(args)
 
-    def row(t: float, n: int, kappa: float, d: float) -> dict[str, Any]:
-        w, y, shown_d = _resolve_points(args, n, d)
-        query = MaassKernelQuery(t, n, kappa, w, y)
-        dist = hyperbolic_distance(w, y)
-        direct = maass_kernel_direct(query, quad)
-        substituted = maass_kernel_substituted(query, quad)
-        route = "direct" if dist >= DIRECT_ROUTE_MIN_DISTANCE else "substituted"
-        v = direct if route == "direct" else substituted
-        return {
-            "t": t,
-            "n": n,
-            "kappa": kappa,
-            "d": shown_d,
-            "re(v)": v.real,
-            "im(v)": v.imag,
-            "route": route,
-            "route_discrepancy": abs(direct - substituted),
-        }
+    def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        t, n, kappa = group[0]["t"], group[0]["n"], group[0]["kappa"]
+        pairs = [_resolve_points(args, n, p["d"]) for p in group]
+        dists = np.array([hyperbolic_distance(w, y) for w, y, _ in pairs])
+        substituted = maass_radial_profile(t, n, kappa, dists, config=quad)
+        far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
+        direct = substituted.copy()
+        direct[far] = maass_direct_profile(t, n, kappa, dists[far], config=quad)
 
-    return lambda group: [row(**p) for p in group]
+        def row(i: int) -> dict[str, Any]:
+            w, y, shown_d = pairs[i]
+            phase = phase_factor(w, y, kappa)
+            v = phase * float(direct[i])
+            return {
+                **group[i],
+                "d": shown_d,
+                "re(v)": v.real,
+                "im(v)": v.imag,
+                "route": "direct" if far[i] else "substituted",
+                "route_discrepancy": abs(v - phase * float(substituted[i])),
+            }
+
+        return [row(i) for i in range(len(group))]
+
+    return rows
 
 
 def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
@@ -476,9 +492,10 @@ _ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[
 def _handle_eval(args: argparse.Namespace) -> int:
     """Merge options, build the grid, evaluate rows in order, emit them.
 
-    ``eval-ads`` rows differing only in theta (innermost) are evaluated as
-    one group.  A row that does not converge on its own is left out and
-    listed on stderr; the exit code is then 3.
+    ``eval-ads`` and ``eval-maass`` rows differing only in the innermost
+    column (theta, d) are evaluated as one group.  A row that does not
+    converge on its own is left out and listed on stderr; the exit code is
+    then 3.
     """
     command = args.command
     value_lists = _merge_options(args, command)
@@ -487,7 +504,7 @@ def _handle_eval(args: argparse.Namespace) -> int:
         raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
     group_rows = _ROW_BUILDERS[command](args)
     params_list = _grid_product(value_lists)
-    shared = _GRID_ORDER[command][: -1 if command == "eval-ads" else None]
+    shared = _GRID_ORDER[command][: None if command == "eval-hyperbolic" else -1]
     rows: list[dict[str, Any]] = []
     failures: list[tuple[dict[str, Any], ConvergenceError]] = []
 

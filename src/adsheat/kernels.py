@@ -2,22 +2,20 @@
 
 Three kernels are evaluated here.
 
-* The spin-weighted (generalized Maass) heat kernel ``v_{t,n,kappa}(w, y)``
-  on the ball, by two independent quadrature routes:
+* The spin-weighted (generalized Maass) heat kernel on the ball,
+  ``v_{t,n,kappa}(w, y) = phase * V(d)`` (d the Bergman distance, phase
+  from :func:`adsheat.geometry.phase_factor`), by two independent routes
+  to V, each batched over distances (``maass_kernel_*`` take one query):
 
-  - ``maass_kernel_substituted``: phase * 2 * int_0^inf q_t(x(u)) *
-    cosh(2 kappa u) du with x(u) = arccosh(cosh u * cosh d), the form the
-    cosh-product change of variables produces.  Smooth everywhere,
-    including u = 0 and d = 0; this is the production route.
-  - ``maass_kernel_direct``: phase * 2 * int_d^inf sinh(x) * N(x) * q_t(x)
-    dx with N the Chebyshev-over-square-root factor from
-    :func:`adsheat.special.spectral_cosh_factor`.  The integrable
-    1/sqrt(x - d) endpoint singularity is removed by x = d + r^2.  Kept as
-    independent validation hardware; near the diagonal (d < 1e-8) it
-    delegates to the substituted route.
+  - :func:`maass_radial_profile`: ``2 int_0^inf q_t(x(u)) cosh(2 kappa u)
+    du`` with x(u) = arccosh(cosh u * cosh d); smooth everywhere, including
+    u = 0 and d = 0.  The production route.
+  - :func:`maass_direct_profile`: ``2 int_d^inf sinh(x) N(x) q_t(x) dx``
+    with N from :func:`adsheat.special.spectral_cosh_factor`, its endpoint
+    singularity removed by x = d + r^2.  Validation hardware; it takes the
+    substituted value near the diagonal (d < 1e-8).
 
-  Here q_t is the radial heat kernel of H^(2n+1) and d the Bergman
-  distance; the two routes share nothing past q_t itself.
+  q_t is the radial heat kernel of H^(2n+1); the routes share nothing else.
 
 * The subelliptic heat kernel of the fibered AdS space over the ball,
   again by two routes: the Fourier series over fiber modes
@@ -41,9 +39,9 @@ analytically, so no inf * 0 can form; damped series modes fold the
 ``e^{-t k^2}`` factor into the same exponent, which makes the combined
 exponent globally <= 0 and mode evaluation stable for every k.  One adaptive
 vector Gauss-Kronrod quadrature serves each batch: the series integrates a
-block of modes, :func:`maass_radial_profile` a block of distances and the
-integral route all shifted copies of one angle, each sharing its panels (and,
-for modes and copies, x(u) and q_t(x(u))); neither the modes nor the wing
+block of modes, each Maass profile a block of distances and the integral
+route all shifted copies of one angle, each sharing its panels (and, for
+modes and copies, x(u) and q_t(x(u))); neither the modes nor the wing
 truncation depends on theta, so a theta sweep reuses them.
 """
 
@@ -86,6 +84,7 @@ __all__ = [
     "maass_kernel_substituted",
     "maass_kernel_direct",
     "maass_radial_profile",
+    "maass_direct_profile",
     "ads_kernel_series",
     "ads_kernel_series_detail",
     "ads_kernel_integral",
@@ -107,18 +106,6 @@ _U_CAP = 700.0
 
 # tolerances of the radial profile; abs_tol also sets its truncation point
 _PROFILE_QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
-
-
-def _undamped_mode(t: float, kappa: float) -> int:
-    """Mode number m = 2|kappa|, after checking e^{t m^2} fits in a double."""
-    m = int(round(2.0 * abs(kappa)))
-    if t * m * m > _UNDAMPED_EXP_LIMIT:
-        raise ValueError(
-            f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
-            "exceeds double-precision range; only the damped fiber series "
-            "is computable this deep"
-        )
-    return m
 
 
 @contextmanager
@@ -256,16 +243,108 @@ def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0
     cosh_d, u_stop = (np.cosh(d) if np.ndim(d) else math.cosh(d)), _U_CAP - d
     u_max = min(_mode_u_max(t, int(np.max(m)), cfg.abs_tol), float(np.max(u_stop)))
     cut = float(np.min(u_stop)) < u_max
+    radial = np.ndim(m) == 0 and m == 0  # the two exponentials coincide
 
     def integrand(u: np.ndarray) -> np.ndarray:
         if cut:
             live, u = u <= u_stop, np.minimum(u, u_stop)
         x = _fiber_distance(np.cosh(u), cosh_d)
         g = x * x / (4.0 * t) + shift
-        v = hyperbolic_heat_kernel_scaled(t, n, x) * (np.exp(m * u - g) + np.exp(-m * u - g))
+        modes = 2.0 * np.exp(-g) if radial else np.exp(m * u - g) + np.exp(-m * u - g)
+        v = hyperbolic_heat_kernel_scaled(t, n, x) * modes
         return np.where(live, v, 0.0) if cut else v
 
     return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value
+
+
+def _direct_integral(t: float, n: int, m: int, d, cfg: QuadratureConfig):
+    """2 * int_d^inf sinh(x) N(x) q_t(x) dx for one distance or a block, x = d + r^2.
+
+    r_max = sqrt(u_max) does not depend on d, so a block shares one vector
+    quadrature.  dx = 2r dr is taken as 2 sqrt(x - d) of the rounded x, which
+    N's 1/sqrt(sinh(x - d)) cancels exactly; a node whose r^2 is below the
+    last bit of d moves up to x = nextafter(d).  Each row is 0 past its own
+    x = 700, short of where sinh x overflows.  Distances below 1e-8, where
+    N degenerates, take the substituted route's value.
+    """
+    near = d < DIRECT_ROUTE_MIN_DISTANCE
+    if np.all(near):
+        return _cosh_mode_integral(t, n, m, d, cfg)
+    if np.any(near):
+        out = np.empty(d.shape)
+        out[near] = _cosh_mode_integral(t, n, m, d[near], cfg)
+        out[~near] = _direct_integral(t, n, m, d[~near], cfg)
+        return out
+    far = d[:, None] if np.ndim(d) else d
+    floor = np.nextafter(far, np.inf)
+    u_max = min(_mode_u_max(t, m, cfg.abs_tol), _U_CAP - float(np.min(far)))
+    cut = float(np.max(far)) + u_max > _U_CAP
+
+    def integrand(r: np.ndarray) -> np.ndarray:
+        x = np.maximum(far + r * r, floor)
+        if cut:
+            live, x = x <= _U_CAP, np.minimum(x, _U_CAP)
+        jacobian_sinh = 2.0 * np.sqrt(x - far) * np.sinh(x)
+        v = jacobian_sinh * spectral_cosh_factor(x, far, m / 2) * hyperbolic_heat_kernel(t, n, x)
+        return np.where(live, v, 0.0) if cut else v
+
+    return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, math.sqrt(u_max), cfg).value
+
+
+def _profile(integral, t: float, n: int, kappa: float, d_values, config):
+    """``integral(t, n, m, d, cfg)`` on validated distances, m = 2|kappa|.
+
+    e^{t m^2} must fit in a double, and distances must be finite, >= 0 and
+    < 700.  Blocks of 512 distances bound the (rows, nodes) temporaries; a
+    scalar distance gives a float.
+    """
+    t, n = _validate_t(t), _validate_n(n)
+    m = int(round(2.0 * abs(require_half_integer(kappa))))
+    if t * m * m > _UNDAMPED_EXP_LIMIT:
+        raise ValueError(
+            f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
+            "exceeds double-precision range; only the damped fiber series "
+            "is computable this deep"
+        )
+    d = np.asarray(d_values, dtype=float)
+    if d.size and not (d.min() >= 0.0 and d.max() < _U_CAP):  # NaN fails too
+        raise ValueError(f"distances must be finite, >= 0 and < {_U_CAP:g}")
+    cfg, flat = config or _PROFILE_QUAD, d.ravel()
+    blocks = [flat[lo : lo + 512] for lo in range(0, flat.size, 512)]
+    # a lone distance takes the quadrature's scalar path, cheaper than a vector of one
+    values = [integral(t, n, m, b if b.size > 1 else b[0], cfg) for b in blocks]
+    out = np.hstack([flat[:0], *values])
+    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
+
+
+def maass_radial_profile(
+    t: float, n: int, kappa: float, d_values, config: QuadratureConfig | None = None
+) -> np.ndarray:
+    """Radial factor V(d) of the kernel, batched over many distances.
+
+    ``v_{t,n,kappa}(w,y) = phase_factor(w,y,kappa) * V(hyperbolic_distance
+    (w,y))``; this evaluates V = 2 int_0^inf q_t(x(u)) cosh(2 kappa u) du on
+    an array of distances (each < 700), one vector quadrature per block of
+    512 distances sharing its panels.  Each distance is held to max(abs_tol,
+    rel_tol |V|) of ``config`` (default 1e-13 and 1e-12) by its own
+    Gauss-Kronrod error estimate; a block that misses it raises
+    :class:`ConvergenceError`.  The integral for d stops by u = 700 - d,
+    whatever else shares its block.
+    """
+    return _profile(_cosh_mode_integral, t, n, kappa, d_values, config)
+
+
+def maass_direct_profile(
+    t: float, n: int, kappa: float, d_values, config: QuadratureConfig | None = None
+) -> np.ndarray:
+    """The same V(d) as :func:`maass_radial_profile`, by the direct route.
+
+    V = 2 int_d^inf sinh(x) N(x) q_t(x) dx with N from
+    :func:`adsheat.special.spectral_cosh_factor`, with the same blocks,
+    tolerances and errors.  The integral for d stops by x = 700, whatever
+    else shares its block; below d = 1e-8 it gives the substituted value.
+    """
+    return _profile(_direct_integral, t, n, kappa, d_values, config)
 
 
 def maass_kernel_substituted(
@@ -273,17 +352,12 @@ def maass_kernel_substituted(
 ) -> complex:
     """Spin-weighted ball heat kernel via the cosh-product substitution.
 
-    Returns ``phase * 2 * int_0^inf q_t(x(u)) cosh(2 kappa u) du`` with
-    ``x(u) = arccosh(cosh u * cosh d)``; the integrand is smooth on
-    [0, inf) including u = 0 and the diagonal d = 0.  ``phase`` is the
-    unit-modulus spin twist of :func:`adsheat.geometry.phase_factor`.
+    ``phase_factor(w, y, kappa) * V(d)`` with V from
+    :func:`maass_radial_profile`, at the tolerances of :class:`QuadratureConfig`.
     """
-    cfg = config or QuadratureConfig()
-    t, n = query.t, query.n
-    m = _undamped_mode(t, query.kappa)
     d = hyperbolic_distance(query.w, query.y)
-    phase = phase_factor(query.w, query.y, query.kappa)
-    return phase * float(np.real(_cosh_mode_integral(t, n, m, d, cfg)))
+    v = maass_radial_profile(query.t, query.n, query.kappa, d, config or QuadratureConfig())
+    return phase_factor(query.w, query.y, query.kappa) * v
 
 
 def maass_kernel_direct(
@@ -291,69 +365,12 @@ def maass_kernel_direct(
 ) -> complex:
     """Spin-weighted ball heat kernel straight from its integral formula.
 
-    Returns ``phase * 2 * int_d^inf sinh(x) N(x) q_t(x) dx`` where N is the
-    Chebyshev-over-square-root factor; the ``(x - d)^{-1/2}`` endpoint
-    singularity is removed by ``x = d + r^2``.  Independent of the
-    substituted route in everything past q_t, which is the point: their
-    agreement validates both.  For d < 1e-8 the factor N degenerates and
-    the call delegates to :func:`maass_kernel_substituted`.
+    As :func:`maass_kernel_substituted`, with V from :func:`maass_direct_profile`:
+    the two routes share nothing past q_t, so their agreement validates both.
     """
-    cfg = config or QuadratureConfig()
-    t, n, kappa = query.t, query.n, query.kappa
     d = hyperbolic_distance(query.w, query.y)
-    if d < DIRECT_ROUTE_MIN_DISTANCE:
-        return maass_kernel_substituted(query, config)
-    m = _undamped_mode(t, kappa)
-    phase = phase_factor(query.w, query.y, kappa)
-    x_max = d + _mode_u_max(t, m, cfg.abs_tol)
-    r_max = math.sqrt(x_max - d)
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        x = d + r * r
-        return (
-            2.0
-            * r
-            * np.sinh(x)
-            * spectral_cosh_factor(x, d, kappa)
-            * hyperbolic_heat_kernel(t, n, x)
-        )
-
-    res = adaptive_gauss_kronrod(integrand, 0.0, r_max, cfg)
-    return phase * 2.0 * float(np.real(res.value))
-
-
-def maass_radial_profile(
-    t: float,
-    n: int,
-    kappa: float,
-    d_values,
-) -> np.ndarray:
-    """Radial factor V(d) of the kernel, batched over many distances.
-
-    ``v_{t,n,kappa}(w,y) = phase_factor(w,y,kappa) * V(hyperbolic_distance
-    (w,y))``; this evaluates V on an array of distances (each < 700) with
-    the integral of :func:`maass_kernel_substituted`, one vector quadrature
-    per block of 512 distances sharing its panels.  Each distance is held to
-    max(1e-13, 1e-12 |V|) by the Gauss-Kronrod error estimate; a block that
-    misses it raises :class:`ConvergenceError`.  As in the scalar route, the
-    integral for d stops by u = 700 - d, whatever else shares its block.
-    """
-    t = _validate_t(t)
-    n = _validate_n(n)
-    m = _undamped_mode(t, require_half_integer(kappa))
-    d = np.asarray(d_values, dtype=float)
-    scalar_in = d.ndim == 0
-    d = np.atleast_1d(d)
-    if d.size and not (np.all(np.isfinite(d)) and d.min() >= 0.0 and d.max() < _U_CAP):
-        raise ValueError(f"distances must be finite, >= 0 and < {_U_CAP:g}")
-
-    out = np.empty(d.shape)
-    chunk = 512  # distances per block; bounds the (rows, nodes) temporaries
-    for lo in range(0, d.size, chunk):
-        out[lo : lo + chunk] = _cosh_mode_integral(t, n, m, d[lo : lo + chunk], _PROFILE_QUAD)
-    if scalar_in:
-        return float(out[0])
-    return out
+    v = maass_direct_profile(query.t, query.n, query.kappa, d, config or QuadratureConfig())
+    return phase_factor(query.w, query.y, query.kappa) * v
 
 
 def _baseline_mode_count(t: float, v0: float, eps_tail: float) -> int:

@@ -20,7 +20,6 @@ rational it represents.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -66,11 +65,13 @@ def gauss_2f1_terminating(m: int, x_arg: float) -> float:
     return float(total)
 
 
-def spectral_cosh_factor(x, d: float, kappa: float):
+def spectral_cosh_factor(x, d, kappa: float):
     """Radial weight ``T_{2|kappa|}(cosh x / cosh d) / sqrt(cosh^2 x - cosh^2 d)``.
 
-    Defined for ``x > d >= 0``.  ``x`` may be a float or a numpy array of
-    floats, all strictly greater than ``d``.  The denominator is computed as
+    Defined for ``x > d >= 0``.  ``x`` and ``d`` may be floats or numpy
+    arrays that broadcast against each other (a column of distances against
+    a row of nodes, say), with every x strictly greater than its d; a float
+    comes back when both are scalars.  The denominator is computed as
     ``sqrt(sinh(x - d) * sinh(x + d))``, which is exactly
     ``sqrt(cosh^2 x - cosh^2 d)`` but avoids the cancellation of the naive
     difference for x near d.
@@ -79,23 +80,18 @@ def spectral_cosh_factor(x, d: float, kappa: float):
     ``d = 0`` it is ``cosh(2|kappa| x) / sinh x``.
     """
     kappa = require_half_integer(kappa)
-    d = float(d)
-    if d < 0.0 or not math.isfinite(d):
-        raise ValueError(f"offset distance must be finite and >= 0, got {d!r}")
+    d = np.asarray(d, dtype=float)
+    if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) < np.inf):  # NaN fails too
+        raise ValueError("offset distances must be finite and >= 0")
     m = int(round(2.0 * abs(kappa)))
 
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= d):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= d):
         raise ValueError("spectral_cosh_factor requires x > d everywhere")
 
-    cosh_d = math.cosh(d)
-    ratio = np.cosh(x_arr) / cosh_d
-    numer = chebyshev_T(m, ratio)
-    denom = np.sqrt(np.sinh(x_arr - d) * np.sinh(x_arr + d))
-    out = numer / denom
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    numer = chebyshev_T(m, np.cosh(x) / np.cosh(d))
+    out = numer / np.sqrt(np.sinh(x - d) * np.sinh(x + d))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _require_degree(m: int) -> int:

@@ -183,6 +183,78 @@ class TestEvalMaass:
         rc, _, err = run_cli(capsys, ["eval-maass", "--kappa", "0.3"])
         assert rc == 2
 
+    def test_grouped_rows_match_rows_alone_within_tolerance(self, capsys):
+        # a row's last digits may depend on the distances sharing its group,
+        # never by more than its own target max(abs_tol, rel_tol |v|)
+        ds = ["0", "0.05", "0.4", "1.2", "2.5"]
+        base = ["eval-maass", "--t", "0.7", "--n", "2", "--abs-tol", "1e-12", "--rel-tol", "1e-10"]
+        rc, out, _ = run_cli(capsys, base + ["--grid", "kappa=0,1.5", "--grid", "d=" + ",".join(ds)])
+        assert rc == 0
+        grouped = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(grouped) == 10
+        for cells in grouped:
+            rc, out, _ = run_cli(capsys, base + ["--kappa", cells[2], "--d", cells[3]])
+            assert rc == 0
+            alone = out.splitlines()[1].split(",")
+            assert cells[:4] + cells[6:7] == alone[:4] + alone[6:7]
+            v, v_alone = complex(float(cells[4]), float(cells[5])), complex(float(alone[4]), float(alone[5]))
+            assert abs(v - v_alone) <= max(1e-12, 1e-10 * abs(v_alone))
+
+    def test_one_profile_call_per_route_and_group(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(t, n, kappa, d_values, config=None):
+                calls.append((name, kappa, len(d_values)))
+                return real(t, n, kappa, d_values, config=config)
+
+            return wrapper
+
+        for name in ("maass_radial_profile", "maass_direct_profile"):
+            monkeypatch.setattr(cli, name, spy(name))
+        argv = ["eval-maass", "--grid", "kappa=0,0.5", "--grid", "d=0.2,0.4,0.8"]
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        assert len(out.splitlines()) == 7
+        assert calls == [
+            ("maass_radial_profile", 0.0, 3),
+            ("maass_direct_profile", 0.0, 3),
+            ("maass_radial_profile", 0.5, 3),
+            ("maass_direct_profile", 0.5, 3),
+        ]
+
+    def test_failure_at_one_distance_drops_only_its_row(self, capsys, monkeypatch):
+        base = ["eval-maass", "--t", "0.8", "--kappa", "1"]
+        alone = {}
+        for d in ("0.2", "0.9"):
+            rc, out, _ = run_cli(capsys, base + ["--d", d])
+            assert rc == 0
+            header, alone[d] = out.splitlines()
+        real = cli.maass_direct_profile
+
+        def flaky(t, n, kappa, d_values, config=None):
+            if np.any(np.isclose(d_values, 0.5)):
+                raise ConvergenceError("synthetic failure")
+            return real(t, n, kappa, d_values, config=config)
+
+        monkeypatch.setattr(cli, "maass_direct_profile", flaky)
+        rc, out, err = run_cli(capsys, base + ["--grid", "d=0.2,0.5,0.9"])
+        assert rc == 3
+        # the group fails as a whole, then each row is evaluated alone
+        assert out.splitlines() == [header, alone["0.2"], alone["0.9"]]
+        assert "d=0.5) did not converge: synthetic failure" in err
+        assert "1 of 3 rows failed" in err
+
+    def test_overflowing_weights_fail_row_by_row(self, capsys):
+        rc, out, err = run_cli(capsys, ["eval-maass", "--t", "1", "--grid", "kappa=6.5,7", "--d", "0.5"])
+        assert rc == 3
+        assert out.splitlines() == ["t,n,kappa,d,re(v),im(v),route,route_discrepancy"]
+        assert "kappa=6.5, d=0.5) did not converge" in err
+        assert "kappa=7.0, d=0.5) did not converge" in err
+        assert "2 of 2 rows failed" in err
+
 
 class TestEvalAds:
     def test_header_and_normalization(self, capsys):

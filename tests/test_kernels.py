@@ -22,6 +22,7 @@ from adsheat.kernels import (
     ads_kernel_series,
     ads_kernel_series_detail,
     maass_kernel_direct,
+    maass_direct_profile,
     maass_kernel_substituted,
     maass_radial_profile,
     theta_identity_lhs,
@@ -207,6 +208,46 @@ class TestRadialProfile:
         assert mixed[2] == 0.0
         np.testing.assert_allclose(mixed[:2], alone, rtol=1e-12, atol=0.0)
 
+
+class TestDirectProfile:
+    def test_group_agrees_with_substituted_route(self):
+        ds = np.array([0.05, 0.3, 0.8, 1.6, 3.0])
+        direct = maass_direct_profile(1.0, 1, 1.0, ds)
+        substituted = maass_radial_profile(1.0, 1, 1.0, ds)
+        np.testing.assert_allclose(direct, substituted, rtol=1e-12, atol=1e-13)
+
+    def test_near_diagonal_delegates_to_the_substituted_profile(self):
+        ds = np.array([0.0, 5e-9, 0.4])
+        cfg = QuadratureConfig()
+        direct = maass_direct_profile(0.7, 1, 0.5, ds, cfg)
+        assert direct[:2].tolist() == maass_radial_profile(0.7, 1, 0.5, ds[:2], cfg).tolist()
+
+    @pytest.mark.parametrize("kappa", [0.0, 3.0])
+    @pytest.mark.parametrize(
+        "cfg", [None, QuadratureConfig()], ids=["profile-tolerance", "cli-tolerance"]
+    )
+    def test_near_diagonal_and_far_distances_share_a_group(self, kappa, cfg):
+        # the smallest distances refine the shared panels near r = 0 until,
+        # at the profile's tolerances, d + r^2 rounds to d for d = 8; every
+        # row must stay finite and within its own tolerance of the
+        # independent substituted route
+        ds = np.array([1.0000001e-8, 1e-6, 1e-4, 0.5, 2.5, 8.0])
+        tol = cfg or QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
+        direct = maass_direct_profile(0.5, 1, kappa, ds, cfg)
+        tight = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-14, max_nodes=10**6)
+        reference = maass_radial_profile(0.5, 1, kappa, ds, tight)
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(reference))
+        assert np.all(np.abs(direct - reference) <= bound)
+
+
+    @pytest.mark.parametrize("d_big", [695.0, 699.0, 699.999])
+    def test_far_distance_does_not_cut_its_block(self, d_big):
+        # x stops at 700 for the far distance alone, short of where sinh x
+        # overflows (past x = 710.48 the integrand would be inf * 0)
+        alone = maass_direct_profile(1.0, 1, 0.0, [0.0, 0.5])
+        mixed = maass_direct_profile(1.0, 1, 0.0, [0.0, 0.5, d_big])
+        assert mixed[2] == 0.0
+        np.testing.assert_allclose(mixed[:2], alone, rtol=1e-12, atol=0.0)
 
 class TestAdsSeries:
     def test_against_frozen_oracle(self):

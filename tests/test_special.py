@@ -120,3 +120,23 @@ class TestSpectralCoshFactor:
     def test_requires_x_beyond_d(self):
         with pytest.raises(ValueError):
             spectral_cosh_factor(0.5, 0.5, 0.0)
+
+    def test_distance_column_matches_scalar_calls(self):
+        # a column of distances against a row of nodes: the same bits as
+        # one scalar call per (d, x)
+        ds = np.array([1e-8, 0.3, 2.5])[:, None]
+        xs = ds + np.array([1e-12, 0.01, 0.7, 4.0])
+        out = spectral_cosh_factor(xs, ds, 1.5)
+        assert out.shape == (3, 4)
+        for i, d in enumerate(ds[:, 0]):
+            for j, x in enumerate(xs[i]):
+                assert out[i, j] == spectral_cosh_factor(float(x), float(d), 1.5)
+
+    @pytest.mark.parametrize("d", [[0.2, -0.1], [0.2, math.inf], [0.2, math.nan]])
+    def test_distance_column_is_validated(self, d):
+        with pytest.raises(ValueError):
+            spectral_cosh_factor(np.array([[1.0], [1.0]]), np.array(d)[:, None], 0.0)
+
+    def test_distance_column_requires_x_beyond_each_d(self):
+        with pytest.raises(ValueError):
+            spectral_cosh_factor(np.array([0.5, 0.5]), np.array([0.1, 0.5]), 0.0)
