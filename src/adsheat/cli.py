@@ -463,7 +463,7 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
         detail = ads_kernel_series_detail(queries[0], series_cfg, quad)
         integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
 
-        def row(query: AdsKernelQuery, integral: complex) -> dict[str, Any]:
+        def row(query: AdsKernelQuery, integral: float) -> dict[str, Any]:
             series = detail.at_angle(query.theta_eff).value
             s = series / TWO_PI if report_theorem else series
             return {
@@ -474,7 +474,7 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
                 "re(s)": s.real,
                 "im(s)": s.imag,
                 "series_terms_used": 2 * detail.modes_used + 1,
-                "route_discrepancy": abs(complex(integral) - series / TWO_PI),
+                "route_discrepancy": abs(integral - series / TWO_PI),
             }
 
         return [row(q, i) for q, i in zip(queries, integrals)]

@@ -23,9 +23,9 @@ Three kernels are evaluated here.
   reference measure ``dy/(1-|y|^2)^(n+1) * dtheta/(2 pi)``), and the
   shifted-Gaussian integral representation
   ``(4 pi t)^(-1/2) sum_k int_R exp((u - i theta - 2 i k pi)^2 / 4t)
-  q_t(x(u)) du`` stated at base point w = 0.  The integral form equals the
-  series divided by 2 pi; their agreement is the central cross-check of
-  this package.
+  q_t(x(u)) du`` stated at base point w = 0, evaluated as one real cosine
+  transform per copy.  The integral form equals the series divided by
+  2 pi; their agreement is the central cross-check of this package.
 
 * ``theta_identity_lhs`` / ``theta_identity_rhs``: the two sides of the
   Poisson-summation bridge between those routes,
@@ -33,16 +33,16 @@ Three kernels are evaluated here.
   e^{-t k^2} e^{k(u - i theta)}``.
 
 Numerical strategy: every integrand that pairs the Gaussian core of q_t
-with exponential growth (cosh modes, shifted complex squares) is evaluated
-through :func:`hyperbolic_heat_kernel_scaled` with the exponents combined
-analytically, so no inf * 0 can form; damped series modes fold the
+with exponential growth (cosh modes, the shifted-Gaussian envelope) is
+evaluated through :func:`hyperbolic_heat_kernel_scaled` with the exponents
+combined analytically, so no inf * 0 can form; damped series modes fold the
 ``e^{-t k^2}`` factor into the same exponent, which makes the combined
 exponent globally <= 0 and mode evaluation stable for every k.  One adaptive
 vector Gauss-Kronrod quadrature serves each batch: the series integrates a
 block of modes, each Maass profile a block of distances and the integral
-route all shifted copies of one angle, each sharing its panels (and, for
-modes and copies, x(u) and q_t(x(u))); neither the modes nor the wing
-truncation depends on theta, so a theta sweep reuses them.
+route every (angle, shifted copy) pair of a theta block, each sharing its
+panels (and, for modes and copies, x(u) and q_t(x(u))); neither the modes
+nor the wing truncation depends on theta, so a theta sweep reuses them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import takewhile
 from typing import Iterator
 
 import numpy as np
@@ -291,12 +290,20 @@ def _direct_integral(t: float, n: int, m: int, d, cfg: QuadratureConfig):
     return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, math.sqrt(u_max), cfg).value
 
 
+def _validate_distances(d_values) -> np.ndarray:
+    """``d_values`` as a float array, each finite, >= 0 and < 700."""
+    d = np.asarray(d_values, dtype=float)
+    if d.size and not (d.min() >= 0.0 and d.max() < _U_CAP):  # NaN fails too
+        raise ValueError(f"distances must be finite, >= 0 and < {_U_CAP:g}")
+    return d
+
+
 def _profile(integral, t: float, n: int, kappa: float, d_values, config):
     """``integral(t, n, m, d, cfg)`` on validated distances, m = 2|kappa|.
 
-    e^{t m^2} must fit in a double, and distances must be finite, >= 0 and
-    < 700.  Blocks of 512 distances bound the (rows, nodes) temporaries; a
-    scalar distance gives a float.
+    e^{t m^2} must fit in a double, and distances pass
+    :func:`_validate_distances`.  Blocks of 512 distances bound the (rows,
+    nodes) temporaries; a scalar distance gives a float.
     """
     t, n = _validate_t(t), _validate_n(n)
     m = int(round(2.0 * abs(require_half_integer(kappa))))
@@ -306,9 +313,7 @@ def _profile(integral, t: float, n: int, kappa: float, d_values, config):
             "exceeds double-precision range; only the damped fiber series "
             "is computable this deep"
         )
-    d = np.asarray(d_values, dtype=float)
-    if d.size and not (d.min() >= 0.0 and d.max() < _U_CAP):  # NaN fails too
-        raise ValueError(f"distances must be finite, >= 0 and < {_U_CAP:g}")
+    d = _validate_distances(d_values)
     cfg, flat = config or _PROFILE_QUAD, d.ravel()
     blocks = [flat[lo : lo + 512] for lo in range(0, flat.size, 512)]
     # a lone distance takes the quadrature's scalar path, cheaper than a vector of one
@@ -468,29 +473,25 @@ def ads_kernel_integral(
     """Shifted-Gaussian integral form of the subelliptic kernel at base w = 0.
 
     Returns ``(4 pi t)^(-1/2) * sum_k int exp((u - i theta_k)^2/(4t)) *
-    q_t(x(u)) du`` with ``theta_k = theta + 2 pi k`` and
-    ``x(u) = arccosh(cosh u * cosh d)``.  Equals the fiber-mode series
-    divided by 2 pi.  ``theta`` may be an array (array result): the
-    theta-free parts are computed once, then one vector quadrature per angle.
-
-    The integrand modulus is ``exp((u^2 - theta_k^2 - x^2)/(4t)) *
-    q_t_scaled(x)`` whose exponent is <= 0 (x >= |u|), so evaluation never
-    overflows; wings are truncated where that envelope at theta = 0 drops
-    below abs_tol * 1e-2, and shifted copies are included while their
-    ``exp(-theta_k^2/4t)`` prefactor times the envelope integral still
-    matters at the eps_tail scale.
+    q_t(x(u)) du`` with ``theta_k = theta + 2 pi k``, ``x(u) = arccosh(cosh u
+    * cosh d)`` and 0 <= d < 700: the fiber-mode series divided by 2 pi.  By
+    u -> -u symmetry each copy is ``2 e^{-theta_k^2/4t} int_0^inf F(u)
+    cos(u theta_k/2t) du``, ``F = q_t_scaled(x) e^{(u^2 - x^2)/4t}`` (exponent
+    <= 0 as x >= u).  One vector quadrature serves up to 512 angles of an array
+    ``theta`` (real array result; a float for a scalar), each (angle, copy)
+    pair a component held to max(abs_tol, rel_tol |component|), weight included.
+    Wings are cut where F drops below abs_tol * 1e-2, and copies are included
+    while their ``exp(-theta_k^2/4t)`` times the integral of F still matters at
+    the eps_tail scale.
     """
     t = _validate_t(t)
     n = _validate_n(n)
-    d = float(d)
-    if not (math.isfinite(d) and d >= 0.0):
-        raise ValueError(f"distance must be finite and >= 0, got {d!r}")
+    d = float(_validate_distances(d))
     theta = getattr(theta, "theta", theta)  # a FiberAngle's angle
-    angles = [FiberAngle(a).theta for a in np.atleast_1d(theta).tolist()]
+    angles = np.array([FiberAngle(a).theta for a in np.atleast_1d(theta).tolist()])
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()
-    cosh_d = math.cosh(d)
-    inv_norm = 1.0 / math.sqrt(4.0 * math.pi * t)
+    cosh_d, u_stop = math.cosh(d), _U_CAP - d
 
     def envelope(u: np.ndarray) -> np.ndarray:
         x = _fiber_distance(np.cosh(u), cosh_d)
@@ -499,9 +500,10 @@ def ads_kernel_integral(
         )
 
     # the first of u0, u0 + 1, (u0 + 1) + 1, ... (rounded stepwise) past 400 or with
-    # a negligible envelope; candidates end near 700 - d, where cosh u cosh d overflows
-    u0 = 2.0 * math.sqrt(t * (math.log(1.0 / q_cfg.abs_tol) + 20.0))
-    candidates = np.cumsum([u0] + [1.0] * (max(0, math.ceil(min(400.0, _U_CAP - d) - u0)) + 1))
+    # a negligible envelope; all stop by u = 700 - d, short of where cosh u cosh d overflows
+    u0 = _mode_u_max(t, 0, q_cfg.abs_tol)
+    steps = [u0] + [1.0] * (max(0, math.ceil(min(400.0, u_stop) - u0)) + 1)
+    candidates = np.minimum(np.cumsum(steps), u_stop)
     above = (envelope(candidates[:-1]) > 0.01 * q_cfg.abs_tol) & (candidates[:-1] < 400.0)
     u_max = float(candidates[np.argmin(np.append(above, False))])
 
@@ -509,34 +511,40 @@ def ads_kernel_integral(
     j_bound = 2.0 * abs(env_int.value)
     threshold = 0.05 * min(s_cfg.eps_tail, 1e-6)
 
-    def copy_bound(k: int) -> float:
-        theta_k = angle + 2.0 * math.pi * k
-        return math.exp(-theta_k * theta_k / (4.0 * t)) * j_bound
+    ks = np.arange(-65, 66)
 
-    def matters(k: int) -> bool:
-        return copy_bound(k) >= threshold
-
-    out = []
-    for angle in angles:
-        # the nearest copies of theta in [0, 2pi) are k = 0, -1; extend outward
-        ks = [0, *takewhile(matters, range(1, 65)), -1, *takewhile(matters, range(-2, -65, -1))]
-        theta_k = (angle + 2.0 * math.pi * np.array(ks))[:, None]
+    def cosine_pass(block: np.ndarray) -> np.ndarray:
+        # copies k = 0, -1 (the nearest of each angle in [0, 2pi)) and, up to |k| = 64,
+        # every other whose weight times the integral of F matters; |k| = 65 bounds the rest
+        theta_k = block[:, None] + 2.0 * math.pi * ks
+        gauss = np.exp(-theta_k * theta_k / (4.0 * t))
+        keep = ((gauss * j_bound >= threshold) | (ks == 0) | (ks == -1)) & (abs(ks) < 65)
+        freq, weight = (theta_k[keep] / (2.0 * t))[:, None], (2.0 * gauss[keep])[:, None]
+        # starting panels no wider than a period of the fastest cosine whose component
+        # may pass abs_tol: on wider ones Gauss and Kronrod can miss it alike
+        fast = np.abs(freq[gauss[keep] * j_bound > 0.5 * q_cfg.abs_tol]).max(initial=0.0)
+        edges = np.linspace(0.0, u_max, max(8, math.ceil(u_max * fast / (2.0 * math.pi))) + 1)
 
         def integrand(u: np.ndarray) -> np.ndarray:
-            x = _fiber_distance(np.cosh(u), cosh_d)
-            expo = ((u - 1j * theta_k) ** 2 - x * x) / (4.0 * t)
-            return hyperbolic_heat_kernel_scaled(t, n, x) * np.exp(expo)
+            return envelope(u) * weight * np.cos(freq * u)
 
-        with _labelled(f"shifted copies at theta={angle!r}"):
-            res = adaptive_gauss_kronrod(integrand, -u_max, u_max, q_cfg)
-        out.append(inv_norm * sum(res.value.tolist(), 0j))
-        if 64 in ks or -64 in ks:
+        shown = ", ".join(map(repr, block[:3].tolist())) + (", ..." if block.size > 3 else "")
+        with _labelled(f"shifted copies at theta={shown}"):
+            res = adaptive_gauss_kronrod(integrand, 0.0, u_max, q_cfg, edges[1:-1])
+        values = np.bincount(np.nonzero(keep)[0], res.value) / math.sqrt(4.0 * math.pi * t)
+        if (bad := np.flatnonzero(keep[:, 1] | keep[:, -2])).size:
+            i = bad[0]
             raise ConvergenceError(
                 "shifted-copy sum did not converge within 64 copies",
-                value=out[-1],
-                error_estimate=copy_bound(65 if 64 in ks else -65),
+                value=float(values[i]),
+                error_estimate=j_bound * (gauss[i, -1] if keep[i, -2] else gauss[i, 0]),
             )
-    return out[0] if np.ndim(theta) == 0 else np.array(out)
+        return values
+
+    # blocks of 512 angles bound the (pairs, nodes) temporaries and the stored panels
+    blocks = [angles[i : i + 512] for i in range(0, angles.size, 512)]
+    values = np.concatenate([cosine_pass(block) for block in blocks]) if blocks else angles
+    return float(values[0]) if np.ndim(theta) == 0 else values
 
 
 def theta_identity_lhs(t: float, u: float, theta: float, k_terms: int) -> complex:

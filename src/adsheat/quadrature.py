@@ -10,7 +10,7 @@ Integrands must be vectorized: they are called once per panel with a numpy
 array of 15 nodes and return 15 values (real or complex), or a (C, 15)
 array for C components on shared panels.  Each component must then meet
 its own target, max(abs_tol, rel_tol * |I_c|), and a panel ranks by its
-worst component error in units of the targets after the first 8 panels.
+worst component error in units of the targets after the starting panels.
 """
 
 from __future__ import annotations
@@ -125,11 +125,14 @@ def adaptive_gauss_kronrod(
     a: float,
     b: float,
     config: QuadratureConfig | None = None,
+    points=(),
 ) -> IntegrationResult:
     """Integrate a vectorized integrand over [a, b] to the configured tolerance.
 
-    A vector integrand gives arrays of value and error estimate.  Raises
-    :class:`ConvergenceError` (with the best estimate attached) if
+    ``points`` (in order, strictly inside) split [a, b] into the starting
+    panels, eight equal ones by default; all are evaluated before any is
+    bisected.  A vector integrand gives arrays of value and error estimate.
+    Raises :class:`ConvergenceError` (with the best estimate attached) if
     ``config.max_nodes`` evaluations are not enough or the running value or
     error estimate stops being finite.
     """
@@ -140,6 +143,9 @@ def adaptive_gauss_kronrod(
         raise ValueError("integration endpoints must be finite")
     if a == b:
         return IntegrationResult(0.0, 0.0, 0, 0)
+    edges = np.array([a, *points, b], dtype=float) if len(points) else np.linspace(a, b, 9)
+    if not (np.all(np.diff(edges) > 0.0) or np.all(np.diff(edges) < 0.0)):
+        raise ValueError("points must lie strictly between a and b, in order")
 
     heap: list[tuple] = []
     total = 0.0 + 0.0j
@@ -168,7 +174,6 @@ def adaptive_gauss_kronrod(
     # overflow and NaN in the integrand surface as a non-finite total,
     # which raises below; numpy's own warnings for them would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.linspace(a, b, 9)  # eight equal panels to start
         for lo, hi in zip(edges[:-1], edges[1:]):
             add_panel(lo, hi)
         if vector := len(shape) == 2:

@@ -314,7 +314,14 @@ class TestEvalAds:
             rc, out, _ = run_cli(capsys, base + ["--theta", theta])
             assert rc == 0
             singles += out.splitlines()[1:]
-        assert swept == singles
+        # the sweep shares one integral quadrature: route_discrepancy matches
+        # within abs_tol, every other column byte for byte
+        assert len(swept) == len(singles)
+        for a, b in zip(swept, singles):
+            *cells_a, disc_a = a.split(",")
+            *cells_b, disc_b = b.split(",")
+            assert cells_a == cells_b
+            assert abs(float(disc_a) - float(disc_b)) <= 1e-11
 
     def test_series_failure_lists_every_angle(self, capsys):
         rc, out, err = run_cli(capsys, ["eval-ads", "--t", "0.03", "--d", "0.1", "--grid", "theta=0,1"])
@@ -327,10 +334,13 @@ class TestEvalAds:
     def test_integral_failure_drops_only_its_angle(self, capsys, monkeypatch):
         import adsheat.cli as cli
 
-        argv = ["eval-ads", "--t", "0.8", "--d", "0.5", "--grid", "theta=0,1,2"]
-        rc, out, _ = run_cli(capsys, argv)
-        assert rc == 0
-        good = out.splitlines()
+        base = ["eval-ads", "--t", "0.8", "--d", "0.5"]
+        argv = base + ["--grid", "theta=0,1,2"]
+        alone = []
+        for theta in ("0", "2"):
+            rc, out, _ = run_cli(capsys, base + ["--theta", theta])
+            assert rc == 0
+            alone += out.splitlines()[1:]
         real = cli.ads_kernel_integral
 
         def flaky(t, n, d, theta, *rest):
@@ -341,7 +351,8 @@ class TestEvalAds:
         monkeypatch.setattr(cli, "ads_kernel_integral", flaky)
         rc, out, err = run_cli(capsys, argv)
         assert rc == 3
-        assert out.splitlines() == [good[0], good[1], good[3]]
+        # the group fails, so the rows that remain are each computed alone
+        assert out.splitlines()[1:] == alone
         assert "theta=1.0) did not converge: synthetic failure" in err
         assert "1 of 3 rows failed" in err
 

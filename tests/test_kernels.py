@@ -395,13 +395,50 @@ class TestAdsCentralIdentity:
             assert abs(complex(integral) - series / TWO_PI) <= 1e-6
 
     def test_integral_over_an_angle_array_matches_scalar_calls(self):
+        # one quadrature serves the whole array, so a value matches its
+        # scalar call within the default abs_tol, not bit for bit
         angles = [0.0, 1.0, 5.5, -0.3]
         values = ads_kernel_integral(0.5, 1, 0.4, np.array(angles))
         assert isinstance(values, np.ndarray) and values.shape == (4,)
+        assert values.dtype == np.float64
         for angle, value in zip(angles, values):
             single = ads_kernel_integral(0.5, 1, 0.4, angle)
-            assert not isinstance(single, np.ndarray)
-            assert value == single
+            assert isinstance(single, float)
+            assert abs(value - single) <= QuadratureConfig().abs_tol
+
+    def test_one_cosine_pass_per_sweep(self, monkeypatch):
+        import adsheat.kernels as kernels
+
+        calls = []
+        real = kernels.adaptive_gauss_kronrod
+
+        def spy(f, a, b, *rest, **kwargs):
+            calls.append((a, b))
+            return real(f, a, b, *rest, **kwargs)
+
+        monkeypatch.setattr(kernels, "adaptive_gauss_kronrod", spy)
+        ads_kernel_integral(0.3, 1, 0.5, np.linspace(0.0, TWO_PI, 24))
+        # the envelope integral, then every (angle, copy) pair at once
+        assert len(calls) == 2 and calls[0] == calls[1]
+        # past 512 angles, one more pass per block of 512
+        calls.clear()
+        ads_kernel_integral(0.3, 1, 0.5, np.linspace(0.0, TWO_PI, 1025))
+        assert len(calls) == 4
+
+    def test_small_time_sweep_converges(self):
+        values = ads_kernel_integral(0.01, 3, 0.0, np.linspace(0.0, TWO_PI, 24))
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("theta", [2.5, 3.1, math.pi])
+    def test_tiny_values_match_mpmath(self, theta):
+        # (t, d) = (0.1, 0.2): the kernel is 2.8e-22 at theta = 2.5, 1.0e-29 at
+        # 3.1 and 5.4e-30 at pi, all far below abs_tol.  Alone, no component
+        # forces a finer panel, so only the starting panels resolve cos(u theta/2t)
+        reference = _ads_reference(0.1, 0.2, theta)
+        alone = ads_kernel_integral(0.1, 1, 0.2, theta)
+        beside_one = ads_kernel_integral(0.1, 1, 0.2, np.array([1.0, theta]))[1]
+        assert abs(alone - reference) <= 1e-17
+        assert abs(beside_one - reference) <= 1e-17
 
     @pytest.mark.parametrize(
         "t, n, d, abs_tol",
@@ -423,9 +460,9 @@ class TestAdsCentralIdentity:
         ends = []
         real = kernels.adaptive_gauss_kronrod
 
-        def spy(f, a, b, cfg=None):
+        def spy(f, a, b, *rest, **kwargs):
             ends.append(b)
-            return real(f, a, b, cfg)
+            return real(f, a, b, *rest, **kwargs)
 
         monkeypatch.setattr(kernels, "adaptive_gauss_kronrod", spy)
         ads_kernel_integral(t, n, d, 0.5, quad_config=QuadratureConfig(abs_tol=abs_tol))
@@ -433,7 +470,51 @@ class TestAdsCentralIdentity:
 
     def test_integral_real_for_real_configuration(self):
         value = ads_kernel_integral(1.0, 1, 0.5, 0.9)
-        assert abs(complex(value).imag) <= 1e-12 * abs(complex(value).real)
+        assert isinstance(value, float) and value > 0.0
+
+    @pytest.mark.parametrize("d", [699.0, 720.0, math.nan, -1.0])
+    def test_distance_gives_a_finite_value_or_value_error(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = ads_kernel_integral(1.0, 1, d, 0.5)
+            except ValueError as exc:
+                assert "distances must be finite, >= 0 and < 700" in str(exc)
+            else:
+                assert math.isfinite(value)
+
+
+def _ads_reference(t: float, d: float, theta: float) -> float:
+    """The n = 1 integral form at base 0 in 25-digit mpmath, as cosine transforms.
+
+    ``(4 pi t)^(-1/2) sum_k 2 e^{-theta_k^2/4t} int_0^60 F(u) cos(u theta_k / 2t)
+    du`` with ``F = e^{(u^2 - x^2)/4t} q_t(x) e^{x^2/4t}`` and q_t on H^3 in
+    closed form; copies with theta_k^2/4t > 80 are below 1e-35.  At d = 0,
+    t = 0.1 it is within 2e-33 of the closed form, (pi^2/4) sech^2(pi w/2)
+    for int_0^inf u/sinh(u) cos(w u) du, at theta = 2.5 and 3.1.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        t_mp, cosh_d = mp.mpf(t), mp.cosh(mp.mpf(d))
+        scale = mp.exp(-t_mp) / (4 * mp.pi * t_mp) ** 1.5
+
+        def envelope(u):
+            x = mp.acosh(mp.cosh(u) * cosh_d)
+            return scale * (x / mp.sinh(x) if x else 1) * mp.exp((u * u - x * x) / (4 * t_mp))
+
+        total = mp.mpf(0)
+        for k in (-1, 0, 1):
+            theta_k = theta + 2 * mp.pi * k
+            if theta_k**2 / (4 * t_mp) > 80:
+                continue
+            freq = theta_k / (2 * t_mp)
+            transform = mp.quad(
+                lambda u: envelope(u) * mp.cos(freq * u),
+                mp.linspace(0, 60, 61),
+                method="gauss-legendre",
+            )
+            total += 2 * mp.exp(-theta_k**2 / (4 * t_mp)) * transform
+        return float(total / mp.sqrt(4 * mp.pi * t_mp))
 
 
 class TestThetaIdentity:

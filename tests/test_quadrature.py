@@ -89,6 +89,22 @@ class TestAdaptive:
         assert math.isnan(abs(err.value))
         assert math.isnan(err.error_estimate)
 
+    def test_points_split_the_starting_panels(self):
+        mids = []
+
+        def f(x):
+            mids.append(x[7])  # the middle node sits at the panel centre
+            return np.exp(-x)
+
+        res = adaptive_gauss_kronrod(f, 0.0, 3.0, QuadratureConfig(), points=[0.5, 2.0])
+        assert mids[:3] == [0.25, 1.25, 2.5]
+        assert res.value == pytest.approx(1.0 - math.exp(-3.0), rel=1e-13)
+
+    @pytest.mark.parametrize("points", [[2.0, 0.5], [0.0, 1.0], [4.0], [math.nan]])
+    def test_points_must_lie_inside_in_order(self, points):
+        with pytest.raises(ValueError, match="strictly between"):
+            adaptive_gauss_kronrod(np.exp, 0.0, 3.0, points=points)
+
     def test_respects_absolute_tolerance(self):
         cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-15)
         res = adaptive_gauss_kronrod(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0, cfg)
