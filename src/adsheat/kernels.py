@@ -229,8 +229,8 @@ def _fiber_distance(cosh_u, cosh_d):
 def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0):
     """2 * int_0^u_max q_t(x(u)) cosh(m u) du * e^{-shift}, x(u) = arccosh(cosh u cosh d).
 
-    Either ``m`` and ``shift`` (one row per mode) or ``d`` (one row per
-    distance) may be a column, all rows sharing one vector quadrature.  The
+    One row per distance of a 1-D ``d``, or per mode of a column ``m`` and
+    ``shift`` against one distance, all rows sharing one vector quadrature.  The
     integrand is ``q_scaled(x) * (e^{mu-g} + e^{-mu-g})`` with ``g = x^2/4t +
     shift``, so the Gaussian of q_t and the growing cosh never meet as
     separate factors.  Damping (shift = t m^2) makes both exponents globally
@@ -238,8 +238,8 @@ def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0
     nothing overflows for any mode.  Each row is 0 past its own u = 700 - d,
     short of where cosh u cosh d overflows; the integrand is negligible there.
     """
-    d = d[:, None] if np.ndim(d) else d
-    cosh_d, u_stop = (np.cosh(d) if np.ndim(d) else math.cosh(d)), _U_CAP - d
+    d = np.asarray(d, dtype=float)[..., None]
+    cosh_d, u_stop = np.cosh(d), _U_CAP - d
     u_max = min(_mode_u_max(t, int(np.max(m)), cfg.abs_tol), float(np.max(u_stop)))
     cut = float(np.min(u_stop)) < u_max
     radial = np.ndim(m) == 0 and m == 0  # the two exponentials coincide
@@ -256,15 +256,18 @@ def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0
     return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value
 
 
-def _direct_integral(t: float, n: int, m: int, d, cfg: QuadratureConfig):
-    """2 * int_d^inf sinh(x) N(x) q_t(x) dx for one distance or a block, x = d + r^2.
+def _direct_integral(t: float, n: int, m: int, d: np.ndarray, cfg: QuadratureConfig):
+    """2 * int_d^inf sinh(x) N(x) q_t(x) dx for a 1-D block of distances, x = d + r^2.
 
     r_max = sqrt(u_max) does not depend on d, so a block shares one vector
     quadrature.  dx = 2r dr is taken as 2 sqrt(x - d) of the rounded x, which
     N's 1/sqrt(sinh(x - d)) cancels exactly; a node whose r^2 is below the
-    last bit of d moves up to x = nextafter(d).  Each row is 0 past its own
-    x = 700, short of where sinh x overflows.  Distances below 1e-8, where
-    N degenerates, take the substituted route's value.
+    last bit of d moves up to x = nextafter(d).  The integrand turns over at
+    r ~ sqrt(2d), which the eight equal starting panels miss for small d, so
+    the one holding r_turn = 16 sqrt(2d) (smallest d) is split there when
+    r_turn < r_max.  Each row is 0 past its own x = 700, short of where
+    sinh x overflows.  Distances below 1e-8, where N degenerates, take the
+    substituted route's value.
     """
     near = d < DIRECT_ROUTE_MIN_DISTANCE
     if np.all(near):
@@ -274,10 +277,11 @@ def _direct_integral(t: float, n: int, m: int, d, cfg: QuadratureConfig):
         out[near] = _cosh_mode_integral(t, n, m, d[near], cfg)
         out[~near] = _direct_integral(t, n, m, d[~near], cfg)
         return out
-    far = d[:, None] if np.ndim(d) else d
+    far = d[:, None]
     floor = np.nextafter(far, np.inf)
     u_max = min(_mode_u_max(t, m, cfg.abs_tol), _U_CAP - float(np.min(far)))
     cut = float(np.max(far)) + u_max > _U_CAP
+    r_max, r_turn = math.sqrt(u_max), 16.0 * math.sqrt(2.0 * float(np.min(far)))
 
     def integrand(r: np.ndarray) -> np.ndarray:
         x = np.maximum(far + r * r, floor)
@@ -287,7 +291,8 @@ def _direct_integral(t: float, n: int, m: int, d, cfg: QuadratureConfig):
         v = jacobian_sinh * spectral_cosh_factor(x, far, m / 2) * hyperbolic_heat_kernel(t, n, x)
         return np.where(live, v, 0.0) if cut else v
 
-    return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, math.sqrt(u_max), cfg).value
+    points = sorted({*np.linspace(0.0, r_max, 9)[1:-1], r_turn}) if r_turn < r_max else ()
+    return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, r_max, cfg, points).value
 
 
 def _validate_distances(d_values) -> np.ndarray:
@@ -316,8 +321,7 @@ def _profile(integral, t: float, n: int, kappa: float, d_values, config):
     d = _validate_distances(d_values)
     cfg, flat = config or _PROFILE_QUAD, d.ravel()
     blocks = [flat[lo : lo + 512] for lo in range(0, flat.size, 512)]
-    # a lone distance takes the quadrature's scalar path, cheaper than a vector of one
-    values = [integral(t, n, m, b if b.size > 1 else b[0], cfg) for b in blocks]
+    values = [integral(t, n, m, b, cfg) for b in blocks]
     out = np.hstack([flat[:0], *values])
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
@@ -480,6 +484,8 @@ def ads_kernel_integral(
     <= 0 as x >= u).  One vector quadrature serves up to 512 angles of an array
     ``theta`` (real array result; a float for a scalar), each (angle, copy)
     pair a component held to max(abs_tol, rel_tol |component|), weight included.
+    That holds before the (4 pi t)^(-1/2) factor, so the returned value is
+    held only to abs_tol / sqrt(4 pi t) per copy: 9x abs_tol at t = 1e-3.
     Wings are cut where F drops below abs_tol * 1e-2, and copies are included
     while their ``exp(-theta_k^2/4t)`` times the integral of F still matters at
     the eps_tail scale.

@@ -7,15 +7,16 @@ until the summed estimate meets the requested tolerance or the node budget
 runs out.
 
 Integrands must be vectorized: they are called once per panel with a numpy
-array of 15 nodes and return 15 values (real or complex), or a (C, 15)
-array for C components on shared panels.  Each component must then meet
-its own target, max(abs_tol, rel_tol * |I_c|), and a panel ranks by its
-worst component error in units of the targets after the starting panels.
+array of 15 nodes and return a (C, 15) array (real or complex) for C
+components on shared panels, or 15 values for one component.  One loop
+serves both: each component must meet its own target, max(abs_tol,
+rel_tol * |I_c|), and a panel ranks by its worst component error in units
+of the targets after the starting panels.  A one-component integrand of
+shape (15,) gets scalars back.
 """
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -147,80 +148,69 @@ def adaptive_gauss_kronrod(
     if not (np.all(np.diff(edges) > 0.0) or np.all(np.diff(edges) < 0.0)):
         raise ValueError("points must lie strictly between a and b, in order")
 
-    heap: list[tuple] = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
+    shape = None  # the first panel fixes the integrand's shape for all later ones
     evaluated = 0  # panels evaluated so far; also the heap's tie-breaker
-    shape, scale = None, 1.0  # output shape; component error units (vector)
 
-    def add_panel(lo: float, hi: float) -> None:
-        nonlocal total, total_err, evaluated, shape
+    def panel(lo: float, hi: float) -> tuple:
+        nonlocal shape, evaluated
         half = 0.5 * (hi - lo)
         fv = np.asarray(f(0.5 * (lo + hi) + half * KRONROD_NODES))
-        # the first panel fixes the shape for all later ones
         if fv.shape != shape and (shape or fv.shape[-1:] != (15,) or fv.ndim > 2):
             raise ValueError(
                 f"integrand must give shape (15,) or (C, 15) on every panel, got {fv.shape}"
             )
-        shape = fv.shape
+        shape, fv = fv.shape, fv.reshape(-1, 15)
         val = half * (fv @ KRONROD_WEIGHTS)
-        err = abs(val - half * (fv @ GAUSS_EMBEDDED_WEIGHTS))
-        total += val
-        total_err += err
-        rank = err if len(shape) == 1 else float((err / scale).max())
-        heapq.heappush(heap, (-rank, evaluated, lo, hi, val, err))
         evaluated += 1
+        return evaluated - 1, lo, hi, val, abs(val - half * (fv @ GAUSS_EMBEDDED_WEIGHTS))
+
+    def unwrap(x: np.ndarray):
+        return x.item() if len(shape) == 1 else x  # one (15,) component gives scalars
+
+    def failure(message: str) -> ConvergenceError:
+        c = int(np.argmax(total_err / target))  # the worst component, or a NaN
+        text = message.format(cfg=cfg, v=complex(total[c]), e=total_err[c], tgt=target[c],
+                              where=f" in component {c}" if len(shape) == 2 else "")
+        return ConvergenceError(text, value=unwrap(total), error_estimate=unwrap(total_err))
 
     # overflow and NaN in the integrand surface as a non-finite total,
     # which raises below; numpy's own warnings for them would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            add_panel(lo, hi)
-        if vector := len(shape) == 2:
-            scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-            heap = [(-float((p[-1] / scale).max()),) + p[1:] for p in heap]
-            heapq.heapify(heap)
+        panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        total = sum(p[-2] for p in panels)
+        total_err = sum(p[-1] for p in panels)
+        # a panel ranks by its worst component error in units of the targets
+        scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        heap = [(-float((p[-1] / scale).max()), *p) for p in panels]
+        heapq.heapify(heap)
 
         while True:
-            # scalar bookkeeping stays in Python numbers; vectors converge per component
-            if vector:
-                target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-                finite = np.isfinite(total).all() and np.isfinite(total_err).all()
-                converged = (total_err <= target).all()
-                c = int(np.argmax(total_err / target))  # the worst, or a NaN
-                where, v, e, tgt = f" in component {c}", total[c], total_err[c], target[c]
-            else:
-                target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-                finite = cmath.isfinite(total) and math.isfinite(total_err)
-                converged = total_err <= target
-                where, v, e, tgt = "", total, total_err, target
-            # a NaN estimate compares False against any tolerance and would be
-            # accepted as converged; a non-finite total never recovers either
-            if not finite:
-                raise ConvergenceError(
-                    f"integrand produced a non-finite value{where} (running value "
-                    f"{v}, error estimate {e})",
-                    value=total,
-                    error_estimate=total_err,
-                )
-            if converged:
-                break
+            target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            worst = (total_err / target).max()
+            # converged, or not finite: NaN and inf/inf land here, and neither a
+            # NaN estimate nor a non-finite total may pass as converged
+            if not 1.0 < worst < math.inf:
+                if not (np.isfinite(total).all() and np.isfinite(total_err).all()):
+                    raise failure(
+                        "integrand produced a non-finite value{where} "
+                        "(running value {v}, error estimate {e})"
+                    )
+                if worst <= 1.0:
+                    break
             if _NODES_PER_PANEL * (evaluated + 2) > cfg.max_nodes:
-                raise ConvergenceError(
-                    f"quadrature budget of {cfg.max_nodes} nodes exhausted at "
-                    f"error estimate {e:.3e}{where} (target {tgt:.3e})",
-                    value=total,
-                    error_estimate=total_err,
+                raise failure(
+                    "quadrature budget of {cfg.max_nodes} nodes exhausted at "
+                    "error estimate {e:.3e}{where} (target {tgt:.3e})"
                 )
             _, _, lo, hi, val, err = heapq.heappop(heap)
-            total -= val
-            total_err -= err
+            total, total_err = total - val, total_err - err
             mid = 0.5 * (lo + hi)
-            add_panel(lo, mid)
-            add_panel(mid, hi)
+            for p in (panel(lo, mid), panel(mid, hi)):
+                total, total_err = total + p[-2], total_err + p[-1]
+                heapq.heappush(heap, (-float((p[-1] / scale).max()), *p))
 
-    value = total if np.any(np.imag(total) != 0.0) else np.real(total)
-    return IntegrationResult(value, total_err, _NODES_PER_PANEL * evaluated, len(heap))
+    value = unwrap(total if np.any(total.imag != 0.0) else total.real)
+    return IntegrationResult(value, unwrap(total_err), _NODES_PER_PANEL * evaluated, len(heap))
 
 
 def gauss_legendre_rule(

@@ -47,6 +47,7 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
     (["identity"], None),
     (["verify", "--suite", "subordination,semigroup,normalization", "--seed", "42"], None),
     (["verify", "--suite", "radial-pde"], None),
+    (["verify", "--suite", "maass-pde"], None),
 ]
 
 

@@ -200,6 +200,12 @@ class TestRadialProfile:
         with pytest.raises(ValueError, match="< 700"):
             maass_radial_profile(1.0, 1, 0.0, [700.0])
 
+    @pytest.mark.parametrize("d", [0.0, 0.3, 2.5])
+    def test_lone_distance_matches_a_one_element_array(self, d):
+        lone = maass_radial_profile(0.7, 1, 0.5, d)
+        assert isinstance(lone, float)
+        assert lone == maass_radial_profile(0.7, 1, 0.5, [d])[0]
+
     @pytest.mark.parametrize("d_big", [695.0, 699.0])
     def test_far_distance_does_not_cut_its_block(self, d_big):
         # a far distance stops its own integral early, not its neighbours'
@@ -248,6 +254,22 @@ class TestDirectProfile:
         mixed = maass_direct_profile(1.0, 1, 0.0, [0.0, 0.5, d_big])
         assert mixed[2] == 0.0
         np.testing.assert_allclose(mixed[:2], alone, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [5e-9, 0.3, 2.5])
+    def test_lone_distance_matches_a_one_element_array(self, d):
+        lone = maass_direct_profile(0.7, 1, 0.5, d)
+        assert isinstance(lone, float)
+        assert lone == maass_direct_profile(0.7, 1, 0.5, [d])[0]
+
+    @pytest.mark.parametrize("d", [1.5e-8, 2e-8, 3e-8, 5e-8])
+    def test_lone_distance_just_above_the_cut_meets_its_target(self, d):
+        # the integrand turns over at r ~ sqrt(2d) ~ 2e-4, far inside the
+        # first of eight equal starting panels on [0, sqrt(u_max)] ~ [0, 3]
+        cfg = QuadratureConfig()
+        value = maass_direct_profile(0.5, 1, 0.0, d, cfg)
+        reference = _maass_direct_reference(0.5, 0, d)
+        assert abs(value - reference) <= max(cfg.abs_tol, cfg.rel_tol * abs(reference))
+
 
 class TestAdsSeries:
     def test_against_frozen_oracle(self):
@@ -482,6 +504,36 @@ class TestAdsCentralIdentity:
                 assert "distances must be finite, >= 0 and < 700" in str(exc)
             else:
                 assert math.isfinite(value)
+
+
+def _maass_direct_reference(t: float, m: int, d: float) -> float:
+    """V(d) for n = 1 by the direct route in 25-digit mpmath.
+
+    ``2 int_0^inf 2 r sinh(x) T_m(cosh x / cosh d) / sqrt(cosh^2 x - cosh^2 d)
+    q_t(x) dr`` with ``x = d + r^2``, q_t on H^3 in closed form, and the
+    r-interval split geometrically down to where the integrand turns over.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        t_mp, d_mp = mp.mpf(t), mp.mpf(d)
+        cosh_d = mp.cosh(d_mp)
+
+        def q(x):
+            gauss = mp.exp(-x * x / (4 * t_mp))
+            return mp.exp(-t_mp) * x * gauss / ((4 * mp.pi * t_mp) ** 1.5 * mp.sinh(x))
+
+        def integrand(r):
+            x = d_mp + r * r
+            cheb = mp.cosh(m * mp.acosh(max(mp.cosh(x) / cosh_d, 1)))
+            root = mp.sqrt(mp.sinh(r * r) * mp.sinh(x + d_mp))
+            return 4 * r * mp.sinh(x) * cheb / root * q(x)
+
+        peak, width = 2 * t * m, math.sqrt(2 * t)
+        lo, hi = max(d, peak - 10 * width), peak + 10 * width + 2
+        rs = [math.sqrt(x - d) for x in sorted({d, *(lo + (hi - lo) * k / 6 for k in range(7))})]
+        while 0.0 < d < 0.1 and rs[1] > 0.1 * math.sqrt(d):
+            rs.insert(1, 0.5 * rs[1])
+        return float(mp.quad(integrand, rs, method="gauss-legendre"))
 
 
 def _ads_reference(t: float, d: float, theta: float) -> float:

@@ -112,28 +112,40 @@ class TestAdaptive:
         assert res.value == pytest.approx(0.3, abs=1e-6)
 
 
+# value, error estimate, node and panel counts as frozen from the scalar
+# engine before vector integrands existed; they must not move by a bit
+FROZEN = [
+    (lambda x: np.exp(-(x**2)), 0.0, 12.0, QuadratureConfig(),
+     0.8862269254527578, 2.179938909528333e-10, 120, 8),
+    (lambda x: np.exp(-(x**2) + 1j * x), -9.0, 9.0, QuadratureConfig(),
+     1.3803884470431431 - 2.7504112709412793e-17j, 7.856987738573171e-11, 240, 12),
+    (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0,
+     QuadratureConfig(abs_tol=1e-6, rel_tol=1e-15),
+     0.300000000651747, 1.401223713540799e-07, 120, 8),
+    (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0, QuadratureConfig(),
+     0.3000000006517469, 6.33836725511266e-11, 210, 11),
+]
+FROZEN_IDS = ["gaussian", "complex", "oscillatory-abs", "oscillatory"]
+FROZEN_FIELDS = "f, a, b, cfg, value, error, n_evals, n_panels"
+
+
 class TestScalarPathFrozen:
-    # value, error estimate, node and panel counts as frozen from the scalar
-    # engine before vector integrands existed; they must not move by a bit
-    @pytest.mark.parametrize(
-        "f, a, b, cfg, value, error, n_evals, n_panels",
-        [
-            (lambda x: np.exp(-(x**2)), 0.0, 12.0, QuadratureConfig(),
-             0.8862269254527578, 2.179938909528333e-10, 120, 8),
-            (lambda x: np.exp(-(x**2) + 1j * x), -9.0, 9.0, QuadratureConfig(),
-             1.3803884470431431 - 2.7504112709412793e-17j, 7.856987738573171e-11, 240, 12),
-            (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0,
-             QuadratureConfig(abs_tol=1e-6, rel_tol=1e-15),
-             0.300000000651747, 1.401223713540799e-07, 120, 8),
-            (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0, QuadratureConfig(),
-             0.3000000006517469, 6.33836725511266e-11, 210, 11),
-        ],
-        ids=["gaussian", "complex", "oscillatory-abs", "oscillatory"],
-    )
+    @pytest.mark.parametrize(FROZEN_FIELDS, FROZEN, ids=FROZEN_IDS)
     def test_bit_identical(self, f, a, b, cfg, value, error, n_evals, n_panels):
         res = adaptive_gauss_kronrod(f, a, b, cfg)
         assert res.value == value
         assert res.error_estimate == error
+        assert (res.n_evals, res.n_panels) == (n_evals, n_panels)
+
+    @pytest.mark.parametrize(FROZEN_FIELDS, FROZEN, ids=FROZEN_IDS)
+    def test_one_row_vector_gives_the_same_bits(
+        self, f, a, b, cfg, value, error, n_evals, n_panels
+    ):
+        # a (1, 15) integrand is the same integral as a (15,) one; only the shape differs
+        res = adaptive_gauss_kronrod(lambda x: f(x)[None, :], a, b, cfg)
+        assert res.value.shape == res.error_estimate.shape == (1,)
+        assert res.value[0] == value
+        assert res.error_estimate[0] == error
         assert (res.n_evals, res.n_panels) == (n_evals, n_panels)
 
 
