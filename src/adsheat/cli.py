@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence, TextIO
@@ -120,10 +120,12 @@ class _Param:
 
 
 _TOL_PARAMS: dict[str, _Param] = {
-    "abs_tol": _Param(_conv_float, 1e-11, help="quadrature absolute tolerance"),
-    "rel_tol": _Param(_conv_float, 1e-9, help="quadrature relative tolerance"),
+    "abs_tol": _Param(_conv_float, QuadratureConfig.abs_tol, help="quadrature absolute tolerance"),
+    "rel_tol": _Param(_conv_float, QuadratureConfig.rel_tol, help="quadrature relative tolerance"),
     "max_nodes": _Param(
-        _conv_int, 100_000, help="quadrature node budget per integral; one may serve a row group"
+        _conv_int,
+        QuadratureConfig.max_nodes,
+        help="quadrature node budget per integral; one may serve a row group",
     ),
 }
 
@@ -151,7 +153,7 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
         "theta": _Param(_conv_float, 0.0, gridable=True, help="fiber angle"),
         "w": _Param(_conv_point, None, help="first ball point"),
         "y": _Param(_conv_point, None, help="second ball point"),
-        "eps_tail": _Param(_conv_float, 1e-9, help="series tail cutoff"),
+        "eps_tail": _Param(_conv_float, SeriesConfig.eps_tail, help="series tail cutoff"),
         "k_max": _Param(_conv_int, None, help="pin the series at |k| <= k_max"),
         "normalization": _Param(
             _choice("series", "theorem"),
@@ -161,10 +163,10 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
         **_TOL_PARAMS,
     },
     "identity": {
+        "m": _Param(_conv_int, None, gridable=True, integral=True, help="polynomial degree"),
         "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
         "u": _Param(_conv_float, 0.5, gridable=True, help="evaluation abscissa"),
         "theta": _Param(_conv_float, 0.7, gridable=True, help="fiber angle"),
-        "m": _Param(_conv_int, None, gridable=True, integral=True, help="polynomial degree"),
         "k_max": _Param(_conv_int, 12, help="shifted-copy count for the theta identity"),
         "which": _Param(
             _choice("both", "gauss-cosh", "theta"),
@@ -180,12 +182,11 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
     },
 }
 
-# column order doubles as grid (cartesian product) order
+# the gridable parameters in declaration order: the leading columns, and
+# the grid (cartesian product) order
 _GRID_ORDER: dict[str, tuple[str, ...]] = {
-    "eval-hyperbolic": ("t", "n", "x"),
-    "eval-maass": ("t", "n", "kappa", "d"),
-    "eval-ads": ("t", "n", "d", "theta"),
-    "identity": ("m", "t", "u", "theta"),
+    command: tuple(name for name, param in params.items() if param.gridable)
+    for command, params in _COMMAND_PARAMS.items()
 }
 
 _CSV_HEADERS: dict[str, tuple[str, ...]] = {
@@ -304,7 +305,7 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
         grids[name] = values
 
     return {
-        name: grids.get(name, [getattr(args, name)]) for name in _GRID_ORDER.get(command, ())
+        name: grids.get(name, [getattr(args, name)]) for name in _GRID_ORDER[command]
     }
 
 
@@ -426,7 +427,7 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n, kappa = group[0]["t"], group[0]["n"], group[0]["kappa"]
         pairs = [_resolve_points(args, n, p["d"]) for p in group]
-        dists = np.array([hyperbolic_distance(w, y) for w, y, _ in pairs])
+        dists = np.array([d for _, _, d in pairs])
         substituted = maass_radial_profile(t, n, kappa, dists, config=quad)
         far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
         direct = substituted.copy()
@@ -541,47 +542,31 @@ def _handle_identity(args: argparse.Namespace) -> int:
         if m is None or m < 0:
             raise UsageError(f"polynomial degree m must be >= 0, got {m}")
 
+    def row(identity: str, lhs: complex, rhs: complex, **params: Any) -> dict[str, Any]:
+        return {
+            **dict.fromkeys(_CSV_HEADERS["identity"]),
+            **params,
+            "identity": identity,
+            "re(lhs)": lhs.real,
+            "im(lhs)": lhs.imag,
+            "re(rhs)": rhs.real,
+            "im(rhs)": rhs.imag,
+            "abs_diff": abs(lhs - rhs),
+        }
+
     rows: list[dict[str, Any]] = []
-    blank = dict.fromkeys(("identity", "m", "t", "u", "theta", "k_terms"))
     if which in ("both", "gauss-cosh"):
         for m in m_values:
             for u in value_lists["u"]:
                 lhs = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
-                rhs = math.cosh(m * u)
-                rows.append(
-                    {
-                        **blank,
-                        "identity": "gauss-cosh",
-                        "m": m,
-                        "u": u,
-                        "re(lhs)": lhs,
-                        "im(lhs)": 0.0,
-                        "re(rhs)": rhs,
-                        "im(rhs)": 0.0,
-                        "abs_diff": abs(lhs - rhs),
-                    }
-                )
+                rows.append(row("gauss-cosh", lhs, math.cosh(m * u), m=m, u=u))
     if which in ("both", "theta"):
         for t in value_lists["t"]:
             for u in value_lists["u"]:
                 for theta in value_lists["theta"]:
                     lhs = theta_identity_lhs(t, u, theta, k_terms)
                     rhs = theta_identity_rhs(t, u, theta, k_terms)
-                    rows.append(
-                        {
-                            **blank,
-                            "identity": "theta",
-                            "t": t,
-                            "u": u,
-                            "theta": theta,
-                            "k_terms": k_terms,
-                            "re(lhs)": lhs.real,
-                            "im(lhs)": lhs.imag,
-                            "re(rhs)": rhs.real,
-                            "im(rhs)": rhs.imag,
-                            "abs_diff": abs(lhs - rhs),
-                        }
-                    )
+                    rows.append(row("theta", lhs, rhs, t=t, u=u, theta=theta, k_terms=k_terms))
     _emit_rows("identity", rows, args.format or "csv", args.output)
     return 0
 
@@ -590,38 +575,20 @@ def _handle_verify(args: argparse.Namespace) -> int:
     _merge_options(args, "verify")
     if args.format == "csv":
         raise UsageError("verify emits a JSON report; --format csv is not available")
-    suite_label = args.suite
-    if suite_label == "all":
+    if args.suite == "all":
         suites: tuple[str, ...] = DEFAULT_SUITES
     else:
-        # a suite named twice runs once, at its first position
-        suites = tuple(dict.fromkeys(s.strip() for s in suite_label.split(",") if s.strip()))
-        unknown = set(suites) - set(DEFAULT_SUITES)
-        if unknown:
-            raise UsageError(
-                f"unknown suite(s) {sorted(unknown)}; choose from {', '.join(DEFAULT_SUITES)}"
-            )
+        suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
         if not suites:
             raise UsageError("empty --suite selection")
+    outcomes = run_default_suite(suites, args.seed)
 
-    # one suite at a time, in the order given
-    outcomes = [o for s in suites for o in run_default_suite((s,), args.seed)]
-
-    report: dict[str, Any] = {"suite": suite_label}
+    report: dict[str, Any] = {"suite": args.suite}
     if args.timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["seed"] = args.seed
     report["all_passed"] = all(o.passed for o in outcomes)
-    report["checks"] = [
-        {
-            "name": o.name,
-            "passed": bool(o.passed),
-            "max_abs_residual": float(o.max_abs_residual),
-            "max_rel_residual": float(o.max_rel_residual),
-            "config_echo": o.config_echo,
-        }
-        for o in outcomes
-    ]
+    report["checks"] = [asdict(o) for o in outcomes]
     _write_json(report, args.output)
     if not report["all_passed"]:
         failed = [o.name for o in outcomes if not o.passed]
@@ -663,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, param in params.items():
             flag = "--" + name.replace("_", "-")
             sub.add_argument(flag, type=str, default=None, help=param.help, metavar="V")
-        if command in _GRID_ORDER:
+        if _GRID_ORDER[command]:
             sub.add_argument(
                 "--grid",
                 action="append",

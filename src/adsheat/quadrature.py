@@ -132,7 +132,9 @@ def adaptive_gauss_kronrod(
 
     ``points`` (in order, strictly inside) split [a, b] into the starting
     panels, eight equal ones by default; all are evaluated before any is
-    bisected.  A vector integrand gives arrays of value and error estimate.
+    bisected.  A vector integrand gives arrays of value and error estimate,
+    zeros over an empty interval (a == b), where the integrand is called
+    once to learn its shape.
     Raises :class:`ConvergenceError` (with the best estimate attached) if
     ``config.max_nodes`` evaluations are not enough or the running value or
     error estimate stops being finite.
@@ -142,8 +144,12 @@ def adaptive_gauss_kronrod(
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
-    if a == b:
-        return IntegrationResult(0.0, 0.0, 0, 0)
+    if a == b:  # one call at the coincident nodes learns the components' shape
+        with np.errstate(all="ignore"):  # the values themselves are not used
+            components = np.shape(f(np.full(_NODES_PER_PANEL, a)))[:-1]
+        if not components:
+            return IntegrationResult(0.0, 0.0, _NODES_PER_PANEL, 0)
+        return IntegrationResult(np.zeros(components), np.zeros(components), _NODES_PER_PANEL, 0)
     edges = np.array([a, *points, b], dtype=float) if len(points) else np.linspace(a, b, 9)
     if not (np.all(np.diff(edges) > 0.0) or np.all(np.diff(edges) < 0.0)):
         raise ValueError("points must lie strictly between a and b, in order")

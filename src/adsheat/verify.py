@@ -360,16 +360,18 @@ DEFAULT_SUITES = ("maass-pde", "radial-pde", "subordination", "semigroup", "norm
 def run_default_suite(
     suites: tuple[str, ...] | list[str] = DEFAULT_SUITES, seed: int = 42
 ) -> list[CheckOutcome]:
-    """Run the canonical check battery and grade each against its threshold.
+    """Run the named check suites and grade each against its threshold.
 
-    Deterministic given ``seed`` (used only by the subordination samples).
-    Thresholds are the acceptance-level ones: spin-weighted PDE 5e-3
-    relative, radial PDE 1e-4 relative, subordination 1e-8 spectral-norm,
-    semigroup 1e-3 relative, mass 1e-6 (n = 1) / 1e-5 (n = 2).
+    Suites run in the order given, each once, at its first position; a name
+    outside :data:`DEFAULT_SUITES` raises ``ValueError``.  Deterministic
+    given ``seed`` (used only by the subordination samples).  Thresholds
+    are the acceptance-level ones: spin-weighted PDE 5e-3 relative, radial
+    PDE 1e-4 relative, subordination 1e-8 spectral-norm, semigroup 1e-3
+    relative, mass 1e-6 (n = 1) / 1e-5 (n = 2).
     """
-    unknown = set(suites) - set(DEFAULT_SUITES)
+    unknown = sorted(set(suites) - set(DEFAULT_SUITES))
     if unknown:
-        raise ValueError(f"unknown suite names: {sorted(unknown)}")
+        raise ValueError(f"unknown suite(s) {unknown}; choose from {', '.join(DEFAULT_SUITES)}")
     rows: list[CheckOutcome] = []
 
     def add(name: str, report: ResidualReport, metric: float, threshold: float) -> None:
@@ -386,32 +388,28 @@ def run_default_suite(
             )
         )
 
-    if "maass-pde" in suites:
-        for kappa in (0.0, 0.5, 1.0):
-            for t in (0.8, 1.0):
-                # the weight-1 field oscillates faster; refine the lattice
-                # so the O(h^2) stencil error keeps the same headroom
-                rep = check_maass_pde(t, kappa, step=0.01 if kappa == 1.0 else 0.02)
-                add(
-                    f"maass_pde_kappa{kappa:g}_t{t:g}",
-                    rep,
-                    rep.max_rel_residual,
-                    5e-3,
-                )
-    if "radial-pde" in suites:
-        for n in (1, 2, 3):
-            rep = check_radial_heat_pde(n=n)
-            add(f"radial_heat_pde_n{n}", rep, rep.max_rel_residual, 1e-4)
-    if "subordination" in suites:
-        for t in (0.5, 1.0):
-            rep = check_subordination(random_negative_semidefinite(5, seed), t)
-            add(f"subordination_t{t:g}", rep, rep.max_abs_residual, 1e-8)
-    if "semigroup" in suites:
-        for t, s, z0 in ((0.5, 0.5, 0.0), (0.3, 0.7, 0.4)):
-            rep = check_semigroup_k0(t, s, BallPoint((complex(z0),)))
-            add(f"semigroup_t{t:g}_s{s:g}_z{z0:g}", rep, rep.max_rel_residual, 1e-3)
-    if "normalization" in suites:
-        for t, n, thr in ((1.0, 1, 1e-6), (0.25, 1, 1e-6), (1.0, 2, 1e-5)):
-            rep = check_normalization_k0(t, n)
-            add(f"normalization_n{n}_t{t:g}", rep, rep.max_abs_residual, thr)
+    for suite in dict.fromkeys(suites):
+        if suite == "maass-pde":
+            for kappa in (0.0, 0.5, 1.0):
+                for t in (0.8, 1.0):
+                    # the weight-1 field oscillates faster; refine the lattice
+                    # so the O(h^2) stencil error keeps the same headroom
+                    rep = check_maass_pde(t, kappa, step=0.01 if kappa == 1.0 else 0.02)
+                    add(f"maass_pde_kappa{kappa:g}_t{t:g}", rep, rep.max_rel_residual, 5e-3)
+        elif suite == "radial-pde":
+            for n in (1, 2, 3):
+                rep = check_radial_heat_pde(n=n)
+                add(f"radial_heat_pde_n{n}", rep, rep.max_rel_residual, 1e-4)
+        elif suite == "subordination":
+            for t in (0.5, 1.0):
+                rep = check_subordination(random_negative_semidefinite(5, seed), t)
+                add(f"subordination_t{t:g}", rep, rep.max_abs_residual, 1e-8)
+        elif suite == "semigroup":
+            for t, s, z0 in ((0.5, 0.5, 0.0), (0.3, 0.7, 0.4)):
+                rep = check_semigroup_k0(t, s, BallPoint((complex(z0),)))
+                add(f"semigroup_t{t:g}_s{s:g}_z{z0:g}", rep, rep.max_rel_residual, 1e-3)
+        elif suite == "normalization":
+            for t, n, thr in ((1.0, 1, 1e-6), (0.25, 1, 1e-6), (1.0, 2, 1e-5)):
+                rep = check_normalization_k0(t, n)
+                add(f"normalization_n{n}_t{t:g}", rep, rep.max_abs_residual, thr)
     return rows

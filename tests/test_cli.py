@@ -11,8 +11,8 @@ import pytest
 from adsheat import cli
 from adsheat.cli import build_parser, main
 from adsheat.geometry import BallPoint, point_at_distance
-from adsheat.kernels import MaassKernelQuery, maass_kernel_direct
-from adsheat.quadrature import ConvergenceError
+from adsheat.kernels import MaassKernelQuery, maass_direct_profile, maass_kernel_direct
+from adsheat.quadrature import ConvergenceError, QuadratureConfig
 from adsheat.radial_heat import hyperbolic_heat_kernel
 
 TWO_PI = 2.0 * math.pi
@@ -148,6 +148,17 @@ class TestEvalMaass:
         rc, out, _ = run_cli(capsys, ["eval-maass", "--d", "0"])
         assert rc == 0
         assert out.splitlines()[1].split(",")[6] == "substituted"
+
+    def test_row_is_evaluated_at_the_distance_it_prints(self, capsys):
+        # 1.5e-8 is above the direct route's cut; the round trip through a
+        # ball point (tanh, then atanh) would turn it into 0.0
+        rc, out, _ = run_cli(capsys, ["eval-maass", "--t", "0.5", "--d", "1.5e-8"])
+        assert rc == 0
+        cells = out.splitlines()[1].split(",")
+        assert float(cells[3]) == 1.5e-8
+        assert cells[6] == "direct"
+        expected = maass_direct_profile(0.5, 1, 0, [1.5e-8], QuadratureConfig())[0]
+        assert float(cells[4]) == expected
 
     def test_explicit_points(self, capsys):
         rc, out, _ = run_cli(

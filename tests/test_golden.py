@@ -48,6 +48,8 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
     (["verify", "--suite", "subordination,semigroup,normalization", "--seed", "42"], None),
     (["verify", "--suite", "radial-pde"], None),
     (["verify", "--suite", "maass-pde"], None),
+    # a repeated suite runs once, at its first position; order is as given
+    (["verify", "--suite", "semigroup,subordination,semigroup", "--seed", "7"], None),
 ]
 
 

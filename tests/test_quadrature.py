@@ -66,6 +66,12 @@ class TestAdaptive:
     def test_empty_interval(self):
         res = adaptive_gauss_kronrod(lambda x: np.exp(x), 1.0, 1.0, QuadratureConfig())
         assert res.value == 0.0
+        assert isinstance(res.value, float)
+        # a vector integrand gets zeros shaped like its components
+        res = adaptive_gauss_kronrod(lambda x: np.stack([x, x]), 1.0, 1.0)
+        assert np.shape(res.value) == np.shape(res.error_estimate) == (2,)
+        assert not np.any(res.value) and not np.any(res.error_estimate)
+        assert (res.n_evals, res.n_panels) == (15, 0)
 
     def test_node_budget_exhaustion_carries_partial_result(self):
         cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_nodes=60)

@@ -193,7 +193,7 @@ class TestMaassPde:
 
 class TestSuiteRunner:
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match=r"unknown suite\(s\) \['nonsense'\]; choose from "):
             run_default_suite(("nonsense",))
 
     def test_single_suite_rows(self):
@@ -205,6 +205,15 @@ class TestSuiteRunner:
             assert row.passed
             assert "threshold" in row.config_echo
             assert "grid_spec" in row.config_echo
+
+    def test_suites_run_in_the_order_given_each_once(self):
+        rows = run_default_suite(("semigroup", "subordination", "semigroup"), seed=7)
+        assert [r.name for r in rows] == [
+            "semigroup_t0.5_s0.5_z0",
+            "semigroup_t0.3_s0.7_z0.4",
+            "subordination_t0.5",
+            "subordination_t1",
+        ]
 
     def test_seed_flows_to_samples(self):
         a = run_default_suite(("subordination",), seed=1)
