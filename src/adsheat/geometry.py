@@ -48,6 +48,13 @@ def require_half_integer(kappa: float) -> float:
     return doubled / 2.0
 
 
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int, or ``ValueError`` unless an integer (not a bool) >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BallPoint:
     """A point of the open unit ball in C^n.
@@ -162,12 +169,19 @@ def hyperbolic_distance(w: BallPoint, y: BallPoint) -> float:
     """Bergman hyperbolic distance between two ball points.
 
     For n = 1 this is the curvature -4 Poincare distance, e.g.
-    ``hyperbolic_distance(origin, y) == arctanh|y|``.
+    ``hyperbolic_distance(origin, y) == arctanh|y|``.  Computed as
+    ``atanh(sqrt(tanh^2))`` with ``tanh^2 = (num - den) / num`` (num and den
+    as in :func:`cosh_sq_distance`), where ``num - den = |w - y|^2 - sum_{i<j}
+    |w_i e_j - w_j e_i|^2`` with e = y - w (Lagrange's identity) is formed
+    without subtracting from 1, so d keeps its relative precision as d -> 0.
+    A pair so far apart that tanh rounds to 1 takes ``acosh(sqrt(cosh^2))``.
     """
     c2 = cosh_sq_distance(w, y)
-    if c2 <= 1.0:
-        return 0.0
-    return math.acosh(math.sqrt(c2))
+    a, e = w.coords, [q - p for p, q in zip(w.coords, y.coords)]
+    crossed = (a[i] * e[j] - a[j] * e[i] for i in range(len(a)) for j in range(i))
+    gap = sum(abs(c) ** 2 for c in e) - sum(abs(c) ** 2 for c in crossed)
+    tanh_d = math.sqrt(max(gap, 0.0) / abs(1.0 - hermitian_inner(w, y)) ** 2)
+    return math.atanh(tanh_d) if tanh_d < 1.0 else math.acosh(math.sqrt(c2))
 
 
 def disc_distance(w: np.ndarray, y: complex) -> np.ndarray:

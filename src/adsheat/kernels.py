@@ -60,6 +60,7 @@ from .geometry import (
     hyperbolic_distance,
     phase_factor,
     require_half_integer,
+    require_int,
     twist_angle,
 )
 from .quadrature import (
@@ -181,9 +182,8 @@ class SeriesConfig:
         if not (0.0 < self.eps_tail < 1.0):
             raise ValueError(f"eps_tail must be in (0, 1), got {self.eps_tail!r}")
         if self.k_max_override is not None:
-            k = self.k_max_override
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"k_max_override must be an int >= 0, got {k!r}")
+            k = require_int(self.k_max_override, "k_max_override", 0)
+            object.__setattr__(self, "k_max_override", k)
 
 
 @dataclass(frozen=True)
@@ -483,12 +483,12 @@ def ads_kernel_integral(
     cos(u theta_k/2t) du``, ``F = q_t_scaled(x) e^{(u^2 - x^2)/4t}`` (exponent
     <= 0 as x >= u).  One vector quadrature serves up to 512 angles of an array
     ``theta`` (real array result; a float for a scalar), each (angle, copy)
-    pair a component held to max(abs_tol, rel_tol |component|), weight included.
-    That holds before the (4 pi t)^(-1/2) factor, so the returned value is
-    held only to abs_tol / sqrt(4 pi t) per copy: 9x abs_tol at t = 1e-3.
-    Wings are cut where F drops below abs_tol * 1e-2, and copies are included
-    while their ``exp(-theta_k^2/4t)`` times the integral of F still matters at
-    the eps_tail scale.
+    pair a component held to max(a, rel_tol |component|), weight included, with
+    a = abs_tol * min(1, sqrt(4 pi t)): after the (4 pi t)^(-1/2) factor each
+    copy of the returned value is within max(abs_tol, rel_tol |copy|), or
+    :class:`ConvergenceError` is raised.  Wings are cut where F drops below
+    abs_tol * 1e-2, and copies are included while their ``exp(-theta_k^2/4t)``
+    times the integral of F still matters at the eps_tail scale.
     """
     t = _validate_t(t)
     n = _validate_n(n)
@@ -497,6 +497,8 @@ def ads_kernel_integral(
     angles = np.array([FiberAngle(a).theta for a in np.atleast_1d(theta).tolist()])
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()
+    # below t = 1/4pi the (4 pi t)^(-1/2) factor magnifies what the cosine pass leaves
+    pass_cfg = replace(q_cfg, abs_tol=q_cfg.abs_tol * min(1.0, math.sqrt(4.0 * math.pi * t)))
     cosh_d, u_stop = math.cosh(d), _U_CAP - d
 
     def envelope(u: np.ndarray) -> np.ndarray:
@@ -528,7 +530,7 @@ def ads_kernel_integral(
         freq, weight = (theta_k[keep] / (2.0 * t))[:, None], (2.0 * gauss[keep])[:, None]
         # starting panels no wider than a period of the fastest cosine whose component
         # may pass abs_tol: on wider ones Gauss and Kronrod can miss it alike
-        fast = np.abs(freq[gauss[keep] * j_bound > 0.5 * q_cfg.abs_tol]).max(initial=0.0)
+        fast = np.abs(freq[gauss[keep] * j_bound > 0.5 * pass_cfg.abs_tol]).max(initial=0.0)
         edges = np.linspace(0.0, u_max, max(8, math.ceil(u_max * fast / (2.0 * math.pi))) + 1)
 
         def integrand(u: np.ndarray) -> np.ndarray:
@@ -536,7 +538,7 @@ def ads_kernel_integral(
 
         shown = ", ".join(map(repr, block[:3].tolist())) + (", ..." if block.size > 3 else "")
         with _labelled(f"shifted copies at theta={shown}"):
-            res = adaptive_gauss_kronrod(integrand, 0.0, u_max, q_cfg, edges[1:-1])
+            res = adaptive_gauss_kronrod(integrand, 0.0, u_max, pass_cfg, edges[1:-1])
         values = np.bincount(np.nonzero(keep)[0], res.value) / math.sqrt(4.0 * math.pi * t)
         if (bad := np.flatnonzero(keep[:, 1] | keep[:, -2])).size:
             i = bad[0]
@@ -556,7 +558,7 @@ def ads_kernel_integral(
 def theta_identity_lhs(t: float, u: float, theta: float, k_terms: int) -> complex:
     """Sum of imaginary-shifted Gaussians: sum_{|k|<=K} e^{(u - i theta - 2ik pi)^2/(4t)}."""
     t = _validate_t(t)
-    k_terms = _validate_k_terms(k_terms)
+    k_terms = require_int(k_terms, "k_terms", 1)
     ks = np.arange(-k_terms, k_terms + 1)
     z = (u - 1j * theta - 2j * math.pi * ks) ** 2 / (4.0 * t)
     return complex(np.exp(z).sum())
@@ -565,13 +567,7 @@ def theta_identity_lhs(t: float, u: float, theta: float, k_terms: int) -> comple
 def theta_identity_rhs(t: float, u: float, theta: float, k_terms: int) -> complex:
     """Damped exponential series: sqrt(t/pi) sum_{|k|<=K} e^{-t k^2} e^{k(u - i theta)}."""
     t = _validate_t(t)
-    k_terms = _validate_k_terms(k_terms)
+    k_terms = require_int(k_terms, "k_terms", 1)
     ks = np.arange(-k_terms, k_terms + 1)
     z = -t * ks * ks + ks * (u - 1j * theta)
     return complex(math.sqrt(t / math.pi) * np.exp(z).sum())
-
-
-def _validate_k_terms(k_terms: int) -> int:
-    if not isinstance(k_terms, (int, np.integer)) or isinstance(k_terms, bool) or k_terms < 1:
-        raise ValueError(f"k_terms must be an integer >= 1, got {k_terms!r}")
-    return int(k_terms)

@@ -2,17 +2,19 @@
 
 A 15-point Kronrod rule with embedded 7-point Gauss rule is applied per
 panel; the Gauss/Kronrod difference is the panel error estimate.  Panels
-are kept in a max-heap by estimated error and the worst one is bisected
-until the summed estimate meets the requested tolerance or the node budget
-runs out.
+are kept in a max-heap by estimated error and refined in waves, after
+scipy's ``quad_vec``: the worst panels are popped until their summed
+estimates cover each component's excess over its target, and all of them
+are bisected.  The starting panels form the first wave.
 
-Integrands must be vectorized: they are called once per panel with a numpy
-array of 15 nodes and return a (C, 15) array (real or complex) for C
-components on shared panels, or 15 values for one component.  One loop
-serves both: each component must meet its own target, max(abs_tol,
-rel_tol * |I_c|), and a panel ranks by its worst component error in units
-of the targets after the starting panels.  A one-component integrand of
-shape (15,) gets scalars back.
+Integrands must be vectorized: called with the N nodes of a whole wave, they
+return a (C, N) array (real or complex) for C components on shared panels,
+or N values for one component.  One call holds at most 512 (component,
+panel) rows of 15 values, and one panel at least, so a wave of a large C
+takes several calls; the first call is one panel, which fixes C.  Each
+component must meet its own target, max(abs_tol, rel_tol * |I_c|), and a
+panel ranks by its worst component error in units of the targets after the
+starting panels.  A one-component integrand of shape (N,) gets scalars back.
 """
 
 from __future__ import annotations
@@ -119,6 +121,10 @@ GAUSS_EMBEDDED_WEIGHTS[7] = _WG0
 GAUSS_EMBEDDED_WEIGHTS[[9, 11, 13]] = _WG[::-1]
 
 _NODES_PER_PANEL = 15
+# the Kronrod and embedded Gauss weights side by side: one matmul gives both
+_RULES = np.stack([KRONROD_WEIGHTS, GAUSS_EMBEDDED_WEIGHTS], axis=1)
+# (component, panel) rows of 15 values in one integrand call: the callers' block
+_CALL_ROWS = 512
 
 
 def adaptive_gauss_kronrod(
@@ -131,10 +137,9 @@ def adaptive_gauss_kronrod(
     """Integrate a vectorized integrand over [a, b] to the configured tolerance.
 
     ``points`` (in order, strictly inside) split [a, b] into the starting
-    panels, eight equal ones by default; all are evaluated before any is
-    bisected.  A vector integrand gives arrays of value and error estimate,
-    zeros over an empty interval (a == b), where the integrand is called
-    once to learn its shape.
+    panels, eight equal ones by default; they form the first wave.  A vector
+    integrand gives arrays of value and error estimate, zeros over an empty
+    interval (a == b), where the integrand is called once to learn its shape.
     Raises :class:`ConvergenceError` (with the best estimate attached) if
     ``config.max_nodes`` evaluations are not enough or the running value or
     error estimate stops being finite.
@@ -154,43 +159,56 @@ def adaptive_gauss_kronrod(
     if not (np.all(np.diff(edges) > 0.0) or np.all(np.diff(edges) < 0.0)):
         raise ValueError("points must lie strictly between a and b, in order")
 
-    shape = None  # the first panel fixes the integrand's shape for all later ones
-    evaluated = 0  # panels evaluated so far; also the heap's tie-breaker
+    shape = None  # the first call, on one panel, fixes the components for all later ones
+    evaluated = 0  # panels evaluated so far; also numbers them for the heap's ties
 
-    def panel(lo: float, hi: float) -> tuple:
+    def evaluate(lo: list, hi: list) -> tuple:
+        """Kronrod values and error estimates, (P, C) each, of the P panels [lo, hi]."""
         nonlocal shape, evaluated
-        half = 0.5 * (hi - lo)
-        fv = np.asarray(f(0.5 * (lo + hi) + half * KRONROD_NODES))
-        if fv.shape != shape and (shape or fv.shape[-1:] != (15,) or fv.ndim > 2):
-            raise ValueError(
-                f"integrand must give shape (15,) or (C, 15) on every panel, got {fv.shape}"
-            )
-        shape, fv = fv.shape, fv.reshape(-1, 15)
-        val = half * (fv @ KRONROD_WEIGHTS)
-        evaluated += 1
-        return evaluated - 1, lo, hi, val, abs(val - half * (fv @ GAUSS_EMBEDDED_WEIGHTS))
+        lo, hi = np.array(lo), np.array(hi)
+        half = 0.5 * (hi - lo)[:, None]
+        nodes = 0.5 * (lo + hi)[:, None] + half * KRONROD_NODES
+        rules, i = [], 0
+        while i < lo.size:  # at most _CALL_ROWS (component, panel) rows a call, one panel at least
+            j = i + max(1, _CALL_ROWS // math.prod(shape)) if shape is not None else 1
+            x = nodes[i:j].ravel()
+            fv = np.asarray(f(x))
+            if fv.shape[-1:] != x.shape or fv.ndim > 2 or shape not in (None, fv.shape[:-1]):
+                raise ValueError(
+                    f"integrand must give shape (N,) or (C, N) for its N nodes, the same C "
+                    f"on every call; got {fv.shape} for N = {x.size}"
+                )
+            shape = fv.shape[:-1]
+            rows = (fv.reshape(-1, 15) @ _RULES).reshape(-1, x.size // 15, 2)
+            rules.append(np.ascontiguousarray(rows.T))  # (2, p, C): strided rows reduce slowly
+            evaluated, i = evaluated + x.size // 15, j
+        kronrod, gauss = rules[0] if len(rules) == 1 else np.concatenate(rules, axis=1)
+        val = half * kronrod
+        return val, abs(val - half * gauss)
 
     def unwrap(x: np.ndarray):
-        return x.item() if len(shape) == 1 else x  # one (15,) component gives scalars
+        return x.item() if not shape else x  # one (N,) component gives scalars
 
     def failure(message: str) -> ConvergenceError:
         c = int(np.argmax(total_err / target))  # the worst component, or a NaN
         text = message.format(cfg=cfg, v=complex(total[c]), e=total_err[c], tgt=target[c],
-                              where=f" in component {c}" if len(shape) == 2 else "")
+                              where=f" in component {c}" if shape else "")
         return ConvergenceError(text, value=unwrap(total), error_estimate=unwrap(total_err))
 
     # overflow and NaN in the integrand surface as a non-finite total,
     # which raises below; numpy's own warnings for them would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        total = sum(p[-2] for p in panels)
-        total_err = sum(p[-1] for p in panels)
-        # a panel ranks by its worst component error in units of the targets
-        scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        heap = [(-float((p[-1] / scale).max()), *p) for p in panels]
-        heapq.heapify(heap)
-
+        lo, hi, heap, scale = edges[:-1].tolist(), edges[1:].tolist(), [], None
+        total = total_err = 0.0
         while True:
+            val, err = evaluate(lo, hi)  # one wave: the starting panels, then the children
+            total, total_err = total + val.sum(axis=0), total_err + err.sum(axis=0)
+            if scale is None:  # a panel ranks by its worst component error in units of the targets
+                scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            keys = (-(err / scale).max(axis=1)).tolist()
+            for entry in zip(keys, range(evaluated - len(lo), evaluated), lo, hi, val, err):
+                heapq.heappush(heap, entry)
+
             target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
             worst = (total_err / target).max()
             # converged, or not finite: NaN and inf/inf land here, and neither a
@@ -203,17 +221,23 @@ def adaptive_gauss_kronrod(
                     )
                 if worst <= 1.0:
                     break
-            if _NODES_PER_PANEL * (evaluated + 2) > cfg.max_nodes:
+            room = cfg.max_nodes // _NODES_PER_PANEL - evaluated  # panels the budget allows
+            if room < 2:
                 raise failure(
                     "quadrature budget of {cfg.max_nodes} nodes exhausted at "
                     "error estimate {e:.3e}{where} (target {tgt:.3e})"
                 )
-            _, _, lo, hi, val, err = heapq.heappop(heap)
-            total, total_err = total - val, total_err - err
-            mid = 0.5 * (lo + hi)
-            for p in (panel(lo, mid), panel(mid, hi)):
-                total, total_err = total + p[-2], total_err + p[-1]
-                heapq.heappush(heap, (-float((p[-1] / scale).max()), *p))
+            # pop the worst panels until their errors cover every component's excess
+            # over its target, no more than one call can hold the children of
+            excess, wave = total_err - target, []
+            limit = min(max(1, _CALL_ROWS // (2 * math.prod(shape))), room // 2)
+            while heap and len(wave) < limit and (excess > 0.0).any():
+                wave.append(heapq.heappop(heap))
+                excess = excess - wave[-1][-1]
+            total = total - np.array([p[-2] for p in wave]).sum(axis=0)
+            total_err = total_err - np.array([p[-1] for p in wave]).sum(axis=0)
+            lo = [x for p in wave for x in (p[2], 0.5 * (p[2] + p[3]))]
+            hi = [x for p in wave for x in (0.5 * (p[2] + p[3]), p[3])]
 
     value = unwrap(total if np.any(total.imag != 0.0) else total.real)
     return IntegrationResult(value, unwrap(total_err), _NODES_PER_PANEL * evaluated, len(heap))

@@ -57,6 +57,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import require_int
+
 # exp(-x^2/4t) underflows anyway once the exponent passes ~745; cut early
 GAUSS_EXP_CUTOFF = 700.0
 
@@ -231,9 +233,7 @@ def _validate_t(t: float) -> float:
 
 def _validate_n(n: int) -> int:
     """Return ``n`` as an int, or raise ``ValueError`` unless an integer >= 1."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"dimension parameter n must be an integer >= 1, got {n!r}")
-    return int(n)
+    return require_int(n, "dimension parameter n", 1)
 
 
 def _eval_kernel(t: float, n: int, x, scaled: bool):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import require_half_integer
+from .geometry import require_half_integer, require_int
 
 
 def chebyshev_T(m: int, z):
@@ -33,7 +33,7 @@ def chebyshev_T(m: int, z):
     ``z`` may be a float or a numpy array; the return type matches.
     Satisfies ``T_m(cosh u) = cosh(m u)`` and ``T_m(cos u) = cos(m u)``.
     """
-    m = _require_degree(m)
+    m = require_int(m, "polynomial degree", 0)
     if m == 0:
         if isinstance(z, np.ndarray):
             return np.ones_like(z, dtype=float)
@@ -54,7 +54,7 @@ def gauss_2f1_terminating(m: int, x_arg: float) -> float:
     binary rational ``x_arg`` represents.  Agrees with
     ``chebyshev_T(m, 1 - 2*x_arg)`` to full precision.
     """
-    m = _require_degree(m)
+    m = require_int(m, "polynomial degree", 0)
     x = Fraction(float(x_arg))
     total = Fraction(1)
     term = Fraction(1)
@@ -92,11 +92,3 @@ def spectral_cosh_factor(x, d, kappa: float):
     numer = chebyshev_T(m, np.cosh(x) / np.cosh(d))
     out = numer / np.sqrt(np.sinh(x - d) * np.sinh(x + d))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _require_degree(m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"polynomial degree must be an integer, got {m!r}")
-    if m < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {m}")
-    return int(m)

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from adsheat import cli
+from adsheat import cli, kernels
 from adsheat.cli import build_parser, main
 from adsheat.geometry import BallPoint, point_at_distance
 from adsheat.kernels import MaassKernelQuery, maass_direct_profile, maass_kernel_direct
@@ -160,6 +160,20 @@ class TestEvalMaass:
         expected = maass_direct_profile(0.5, 1, 0, [1.5e-8], QuadratureConfig())[0]
         assert float(cells[4]) == expected
 
+    @pytest.mark.parametrize("w, y", [("0.3", "0.3000001"), ("0.3+0.1j", "0.3000001+0.1j")])
+    def test_close_pair_is_evaluated_at_the_distance_it_prints(self, capsys, w, y):
+        # 1e-7 apart: d = atanh(|w - y| / |1 - w conj(y)|), to 17 digits
+        mpmath = pytest.importorskip("mpmath")
+        rc, out, _ = run_cli(capsys, ["eval-maass", "--t", "0.5", "--w", w, "--y", y])
+        assert rc == 0
+        cells = out.splitlines()[1].split(",")
+        with mpmath.workdps(40):
+            wm, ym = mpmath.mpc(complex(w)), mpmath.mpc(complex(y))
+            exact = float(mpmath.atanh(abs(wm - ym) / abs(1 - wm * mpmath.conj(ym))))
+        assert float(cells[3]) == pytest.approx(exact, rel=1e-15)
+        expected = maass_direct_profile(0.5, 1, 0, [float(cells[3])], QuadratureConfig())[0]
+        assert abs(complex(float(cells[4]), float(cells[5]))) == pytest.approx(expected, rel=1e-15)
+
     def test_explicit_points(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -281,6 +295,23 @@ class TestEvalAds:
         s = float(out_series.splitlines()[1].split(",")[4])
         v = float(out_theorem.splitlines()[1].split(",")[4])
         assert v == pytest.approx(s / TWO_PI, rel=1e-15)
+
+    def test_both_routes_take_the_distance_it_prints(self, capsys, monkeypatch):
+        # the series and the integral each get the distance of the ball points that
+        # stand for d; through acosh(sqrt(cosh^2)) 1.5e-8 came back as 0.0
+        seen = []
+        integral, distance = cli.ads_kernel_integral, kernels.hyperbolic_distance
+
+        def integral_spy(t, n, d, *args):
+            seen.append(d)
+            return integral(t, n, d, *args)
+
+        monkeypatch.setattr(cli, "ads_kernel_integral", integral_spy)
+        monkeypatch.setattr(kernels, "hyperbolic_distance", lambda w, y: seen.append(distance(w, y)) or seen[-1])
+        rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "1", "--d", "1.5e-8", "--theta", "0.3"])
+        assert rc == 0
+        assert float(out.splitlines()[1].split(",")[2]) == 1.5e-8
+        assert len(seen) == 2 and all(abs(d - 1.5e-8) <= 4.0 * math.ulp(1.5e-8) for d in seen)
 
     def test_route_discrepancy_small(self, capsys):
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "0.8", "--d", "0.5"])

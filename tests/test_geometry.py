@@ -94,6 +94,35 @@ class TestDistance:
             0.9, abs=1e-13
         )
 
+    @pytest.mark.parametrize("d", np.geomspace(1e-10, 5.0, 41).tolist(), ids="{:.2e}".format)
+    def test_point_at_distance_round_trip_keeps_its_digits(self, d):
+        # a few ulps of d, plus what the rounding of tanh d itself moves atanh by
+        got = hyperbolic_distance(point_at_distance(d), BallPoint.origin(1))
+        allowed = 4.0 * math.ulp(d) + math.ulp(math.tanh(d)) * math.cosh(d) ** 2
+        assert abs(got - d) <= allowed
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_close_pairs_against_a_40_digit_reference(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        with mpmath.workdps(40):
+            for gap in np.geomspace(1e-10, 0.3, 12):
+                w = rng.normal(size=n) + 1j * rng.normal(size=n)
+                w *= rng.uniform(0.0, 0.8) / np.linalg.norm(w)
+                y = w + gap * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                a, b = BallPoint(tuple(w)), BallPoint(tuple(y))
+                wm, ym = [mpmath.mpc(c) for c in a.coords], [mpmath.mpc(c) for c in b.coords]
+                num = abs(1 - mpmath.fsum(p * mpmath.conj(q) for p, q in zip(wm, ym))) ** 2
+                den = (1 - mpmath.fsum(abs(p) ** 2 for p in wm)) * (1 - mpmath.fsum(abs(q) ** 2 for q in ym))
+                exact = float(mpmath.acosh(mpmath.sqrt(num / den)))
+                assert hyperbolic_distance(a, b) == pytest.approx(exact, rel=4e-15)
+
+    def test_pair_too_far_for_tanh_takes_acosh(self):
+        # tanh of the distance rounds to 1 here, so atanh cannot give it
+        edge = 1.0 - 2.0**-53
+        far = hyperbolic_distance(BallPoint((-edge,)), BallPoint((edge,)))
+        assert far == pytest.approx(2.0 * math.atanh(edge), rel=1e-12)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             hyperbolic_distance(BallPoint.origin(1), BallPoint.origin(2))

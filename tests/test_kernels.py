@@ -506,6 +506,24 @@ class TestAdsCentralIdentity:
                 assert math.isfinite(value)
 
 
+    @pytest.mark.parametrize("t", [1e-3, 3e-3, 0.01, 0.05])
+    def test_small_time_value_within_abs_tol_or_raises(self, t):
+        # n = 1, d = 0: each copy is e^{-t} e^{-theta_k^2/4t} (4 pi t)^(-2) times
+        # int_R u/sinh(u) cos(u theta_k/2t) du = (pi^2/2) sech^2(pi theta_k/4t)
+        theta, cfg = math.sqrt(t), QuadratureConfig()
+        exact = 0.0
+        for k in range(-2, 3):
+            theta_k = theta + TWO_PI * k
+            decay = math.exp(-2.0 * abs(math.pi * theta_k / (4.0 * t)))
+            sech_sq = 4.0 * decay / (1.0 + decay) ** 2
+            exact += math.exp(-t - theta_k**2 / (4.0 * t)) * 0.5 * math.pi**2 * sech_sq
+        exact /= (4.0 * math.pi * t) ** 2
+        try:
+            value = ads_kernel_integral(t, 1, 0.0, theta, quad_config=cfg)
+        except ConvergenceError:
+            return  # at t = 1e-3 the kernel, 2.6e-17, is below what doubles resolve there
+        assert abs(value - exact) <= max(cfg.abs_tol, cfg.rel_tol * abs(exact))
+
 def _maass_direct_reference(t: float, m: int, d: float) -> float:
     """V(d) for n = 1 by the direct route in 25-digit mpmath.
 

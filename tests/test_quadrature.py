@@ -1,8 +1,12 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from adsheat import quadrature
 from adsheat.quadrature import (
     GAUSS_EMBEDDED_WEIGHTS,
     KRONROD_NODES,
@@ -99,7 +103,7 @@ class TestAdaptive:
         mids = []
 
         def f(x):
-            mids.append(x[7])  # the middle node sits at the panel centre
+            mids.extend(x.reshape(-1, 15)[:, 7])  # the middle node sits at the panel centre
             return np.exp(-x)
 
         res = adaptive_gauss_kronrod(f, 0.0, 3.0, QuadratureConfig(), points=[0.5, 2.0])
@@ -118,18 +122,18 @@ class TestAdaptive:
         assert res.value == pytest.approx(0.3, abs=1e-6)
 
 
-# value, error estimate, node and panel counts as frozen from the scalar
-# engine before vector integrands existed; they must not move by a bit
+# value, error estimate, node and panel counts as frozen from the engine that
+# refines in waves; they must not move by a bit
 FROZEN = [
     (lambda x: np.exp(-(x**2)), 0.0, 12.0, QuadratureConfig(),
-     0.8862269254527578, 2.179938909528333e-10, 120, 8),
+     0.8862269254527578, 2.1799400197513576e-10, 120, 8),
     (lambda x: np.exp(-(x**2) + 1j * x), -9.0, 9.0, QuadratureConfig(),
-     1.3803884470431431 - 2.7504112709412793e-17j, 7.856987738573171e-11, 240, 12),
+     1.380388447043143 + 5.551115123125783e-17j, 7.856988338283637e-11, 240, 12),
     (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0,
      QuadratureConfig(abs_tol=1e-6, rel_tol=1e-15),
-     0.300000000651747, 1.401223713540799e-07, 120, 8),
+     0.300000000651747, 1.4012237152061333e-07, 120, 8),
     (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 20.0, QuadratureConfig(),
-     0.3000000006517469, 6.33836725511266e-11, 210, 11),
+     0.300000000651747, 6.338367255110013e-11, 210, 11),
 ]
 FROZEN_IDS = ["gaussian", "complex", "oscillatory-abs", "oscillatory"]
 FROZEN_FIELDS = "f, a, b, cfg, value, error, n_evals, n_panels"
@@ -177,7 +181,7 @@ class TestVectorIntegrand:
         # the small component is accurate relative to itself, not to the big one
         assert np.all(np.abs(res.value - exact) <= 1e-9 * np.abs(exact))
 
-    def test_one_panel_per_call_and_scalar_agreement(self):
+    def test_whole_wave_per_call_and_scalar_agreement(self):
         cfg = QuadratureConfig()
         calls = []
 
@@ -185,10 +189,75 @@ class TestVectorIntegrand:
             calls.append(len(x))
             return np.stack([np.sin(x), np.cos(x) ** 2])
 
-        res = adaptive_gauss_kronrod(f, 0.0, 3.0, cfg)
-        assert set(calls) == {15} and res.n_evals == 15 * len(calls)
+        res = adaptive_gauss_kronrod(f, 0.0, 30.0, cfg)
+        # one panel fixes the shape, the other seven starting panels follow in one
+        # call, then each wave's children (two per bisected panel) in one call
+        assert calls[:2] == [15, 105] and len(calls) > 2
+        assert all(n % 30 == 0 for n in calls[2:]) and max(calls[2:]) > 30
+        assert res.n_evals == sum(calls)
         for c, g in enumerate((np.sin, lambda x: np.cos(x) ** 2)):
-            assert res.value[c] == pytest.approx(adaptive_gauss_kronrod(g, 0.0, 3.0, cfg).value, rel=1e-12)
+            assert res.value[c] == pytest.approx(adaptive_gauss_kronrod(g, 0.0, 30.0, cfg).value, rel=1e-12)
+
+    @pytest.mark.parametrize("components", [1, 40, 600])
+    def test_no_call_holds_more_than_512_rows_of_15_values(self, components, monkeypatch):
+        log = []  # integrand calls by node count, bisections as 0
+        rate = np.linspace(40.0, 1.0, components)[:, None]
+
+        def f(x):
+            log.append(len(x))
+            return np.cos(rate * x) * np.exp(-x)
+
+        def heappop(heap, pop=heapq.heappop):
+            log.append(0)
+            return pop(heap)
+
+        monkeypatch.setattr(quadrature.heapq, "heappop", heappop)
+        # 100 starting panels: the first alone, then as many a call as 512 rows allow
+        cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
+        res = adaptive_gauss_kronrod(f, 0.0, 30.0, cfg, np.linspace(0.0, 30.0, 101)[1:-1])
+        sizes = [n for n in log if n]
+        assert res.n_evals == sum(sizes)
+        cap = max(1, 512 // components)  # panels a call may hold
+        assert 15 * min(cap, 99) <= max(sizes) <= 15 * cap
+        # a wave bisects no more panels than one call can hold the children of:
+        # one at a time from 256 components up, as when each call was one panel
+        widest = max(map(len, "".join("p" if n == 0 else "." for n in log).split(".")))
+        assert widest <= max(1, cap // 2) and (widest > 1) == (components < 256)
+        exact = (1.0 + np.exp(-30.0) * (rate * np.sin(30.0 * rate) - np.cos(30.0 * rate))) / (1.0 + rate**2)
+        assert np.all(np.abs(res.value - exact[:, 0]) <= 1e-10 * np.abs(exact[:, 0]))
+
+    def test_frozen_gaussian_takes_at_most_three_calls(self):
+        calls = []
+        f, a, b, cfg, value, *_ = FROZEN[0]
+
+        def spy(x):
+            calls.append(len(x))
+            return f(x)
+
+        assert adaptive_gauss_kronrod(spy, a, b, cfg).value == value
+        assert len(calls) <= 3
+
+    @given(
+        st.floats(min_value=0.05, max_value=20.0),
+        st.floats(min_value=0.0, max_value=30.0),
+        st.sampled_from([1, 7, 600]),
+    )
+    def test_gaussian_cosine_transforms_meet_their_targets(self, a, b, components):
+        # int_0^L e^{-a_c x^2} cos(b_c x) dx = sqrt(pi / a_c) e^{-b_c^2 / 4 a_c} / 2, with
+        # L where the dropped tail is below 1e-16; one component is a (N,) integrand
+        a_c = a * np.linspace(1.0, 2.0, components)[:, None]
+        b_c = b * np.linspace(1.0, 0.5, components)[:, None]
+        length = math.sqrt(40.0 / a)
+        cfg = QuadratureConfig()
+
+        def f(x):
+            out = np.exp(-a_c * x * x) * np.cos(b_c * x)
+            return out[0] if components == 1 else out
+
+        res = adaptive_gauss_kronrod(f, 0.0, length, cfg)
+        exact = (0.5 * np.sqrt(math.pi / a_c) * np.exp(-b_c * b_c / (4.0 * a_c)))[:, 0]
+        assert np.shape(res.value) == (() if components == 1 else (components,))
+        assert np.all(np.abs(res.value - exact) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(exact)))
 
     def test_complex_components(self):
         res = adaptive_gauss_kronrod(
@@ -219,7 +288,7 @@ class TestVectorIntegrand:
 
     @pytest.mark.parametrize("shape", [(3, 14), (15, 3), (2, 3, 15), ()])
     def test_wrong_shape_raises(self, shape):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match=r"shape \(N,\) or \(C, N\) for its N nodes"):
             adaptive_gauss_kronrod(lambda x: np.ones(shape), 0.0, 1.0)
 
     def test_shape_must_not_change_between_panels(self):
@@ -227,9 +296,9 @@ class TestVectorIntegrand:
 
         def f(x):
             calls.append(x)
-            return np.ones((2 if len(calls) == 1 else 3, 15))
+            return np.ones((2 if len(calls) == 1 else 3, len(x)))
 
-        with pytest.raises(ValueError, match="on every panel"):
+        with pytest.raises(ValueError, match=r"the same C on every call; got \(3, 105\)"):
             adaptive_gauss_kronrod(f, 0.0, 1.0)
 
 
