@@ -143,6 +143,21 @@ def hermitian_inner(w: BallPoint, y: BallPoint) -> complex:
     )
 
 
+def _pair_terms(w: BallPoint, y: BallPoint) -> tuple[float, float]:
+    """``(|1 - <w,y>|^2, cosh^2)`` of the pair; see :func:`cosh_sq_distance`."""
+    z = 1.0 - hermitian_inner(w, y)
+    num = (z * z.conjugate()).real
+    val = num / ((1.0 - w.norm_sq) * (1.0 - y.norm_sq))
+    if val < 1.0:
+        if val < _COSH_SQ_FLOOR:
+            raise ValueError(
+                f"cosh^2(distance) evaluated to {val}, far below its lower bound 1; "
+                "inputs are likely corrupt"
+            )
+        return num, 1.0
+    return num, val
+
+
 def cosh_sq_distance(w: BallPoint, y: BallPoint) -> float:
     """``cosh^2`` of the Bergman distance between ``w`` and ``y``.
 
@@ -150,38 +165,28 @@ def cosh_sq_distance(w: BallPoint, y: BallPoint) -> float:
     >= 1 in exact arithmetic; values caught just below 1 by rounding are
     clamped back to 1.
     """
-    _require_same_dim(w, y)
-    z = 1.0 - hermitian_inner(w, y)
-    num = (z * z.conjugate()).real
-    den = (1.0 - w.norm_sq) * (1.0 - y.norm_sq)
-    val = num / den
-    if val < 1.0:
-        if val < _COSH_SQ_FLOOR:
-            raise ValueError(
-                f"cosh^2(distance) evaluated to {val}, far below its lower bound 1; "
-                "inputs are likely corrupt"
-            )
-        return 1.0
-    return val
+    return _pair_terms(w, y)[1]
 
 
 def hyperbolic_distance(w: BallPoint, y: BallPoint) -> float:
     """Bergman hyperbolic distance between two ball points.
 
     For n = 1 this is the curvature -4 Poincare distance, e.g.
-    ``hyperbolic_distance(origin, y) == arctanh|y|``.  Computed as
-    ``atanh(sqrt(tanh^2))`` with ``tanh^2 = (num - den) / num`` (num and den
-    as in :func:`cosh_sq_distance`), where ``num - den = |w - y|^2 - sum_{i<j}
-    |w_i e_j - w_j e_i|^2`` with e = y - w (Lagrange's identity) is formed
-    without subtracting from 1, so d keeps its relative precision as d -> 0.
-    A pair so far apart that tanh rounds to 1 takes ``acosh(sqrt(cosh^2))``.
+    ``hyperbolic_distance(origin, y) == arctanh|y|``.  Pairs with cosh^2 < 2
+    (d < 0.88) take ``atanh(sqrt(tanh^2))`` with ``tanh^2 = (num - den) /
+    num`` (num and den as in :func:`cosh_sq_distance`), where ``num - den =
+    |w - y|^2 - sum_{i<j} |w_i e_j - w_j e_i|^2`` with e = y - w (Lagrange's
+    identity) is formed without subtracting from 1, so d keeps its relative
+    precision as d -> 0.  Farther pairs take ``acosh(sqrt(cosh^2))``, where
+    atanh would magnify the rounding of tanh by cosh^2 d.
     """
-    c2 = cosh_sq_distance(w, y)
+    num, c2 = _pair_terms(w, y)
+    if c2 >= 2.0:
+        return math.acosh(math.sqrt(c2))
     a, e = w.coords, [q - p for p, q in zip(w.coords, y.coords)]
     crossed = (a[i] * e[j] - a[j] * e[i] for i in range(len(a)) for j in range(i))
     gap = sum(abs(c) ** 2 for c in e) - sum(abs(c) ** 2 for c in crossed)
-    tanh_d = math.sqrt(max(gap, 0.0) / abs(1.0 - hermitian_inner(w, y)) ** 2)
-    return math.atanh(tanh_d) if tanh_d < 1.0 else math.acosh(math.sqrt(c2))
+    return math.atanh(math.sqrt(max(gap, 0.0) / num))
 
 
 def disc_distance(w: np.ndarray, y: complex) -> np.ndarray:

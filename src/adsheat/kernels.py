@@ -64,6 +64,7 @@ from .geometry import (
     twist_angle,
 )
 from .quadrature import (
+    _CALL_ROWS,
     ConvergenceError,
     QuadratureConfig,
     adaptive_gauss_kronrod,
@@ -307,8 +308,8 @@ def _profile(integral, t: float, n: int, kappa: float, d_values, config):
     """``integral(t, n, m, d, cfg)`` on validated distances, m = 2|kappa|.
 
     e^{t m^2} must fit in a double, and distances pass
-    :func:`_validate_distances`.  Blocks of 512 distances bound the (rows,
-    nodes) temporaries; a scalar distance gives a float.
+    :func:`_validate_distances`.  Blocks of ``_CALL_ROWS`` distances bound the
+    (rows, nodes) temporaries; a scalar distance gives a float.
     """
     t, n = _validate_t(t), _validate_n(n)
     m = int(round(2.0 * abs(require_half_integer(kappa))))
@@ -320,7 +321,7 @@ def _profile(integral, t: float, n: int, kappa: float, d_values, config):
         )
     d = _validate_distances(d_values)
     cfg, flat = config or _PROFILE_QUAD, d.ravel()
-    blocks = [flat[lo : lo + 512] for lo in range(0, flat.size, 512)]
+    blocks = [flat[lo : lo + _CALL_ROWS] for lo in range(0, flat.size, _CALL_ROWS)]
     values = [integral(t, n, m, b, cfg) for b in blocks]
     out = np.hstack([flat[:0], *values])
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
@@ -549,8 +550,9 @@ def ads_kernel_integral(
             )
         return values
 
-    # blocks of 512 angles bound the (pairs, nodes) temporaries and the stored panels
-    blocks = [angles[i : i + 512] for i in range(0, angles.size, 512)]
+    # blocks of _CALL_ROWS angles bound the (pairs, nodes) temporaries and the stored
+    # panels; an angle has a row per copy, so a call may hold one panel of more rows
+    blocks = [angles[i : i + _CALL_ROWS] for i in range(0, angles.size, _CALL_ROWS)]
     values = np.concatenate([cosine_pass(block) for block in blocks]) if blocks else angles
     return float(values[0]) if np.ndim(theta) == 0 else values
 

@@ -123,7 +123,9 @@ GAUSS_EMBEDDED_WEIGHTS[[9, 11, 13]] = _WG[::-1]
 _NODES_PER_PANEL = 15
 # the Kronrod and embedded Gauss weights side by side: one matmul gives both
 _RULES = np.stack([KRONROD_WEIGHTS, GAUSS_EMBEDDED_WEIGHTS], axis=1)
-# (component, panel) rows of 15 values in one integrand call: the callers' block
+# (component, panel) rows of 15 values in one integrand call, and the block of
+# distances or angles the kernels pass the engine: it bounds the (rows, nodes)
+# temporaries, which waves of every popped panel would let grow with the block
 _CALL_ROWS = 512
 
 

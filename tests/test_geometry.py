@@ -22,6 +22,15 @@ from adsheat.geometry import (
 TWO_PI = 2.0 * math.pi
 
 
+def distance_40_digits(mpmath, a: BallPoint, b: BallPoint) -> float:
+    """acosh(sqrt(cosh^2)) of the exact coordinates, at 40 digits."""
+    with mpmath.workdps(40):
+        wm, ym = [mpmath.mpc(c) for c in a.coords], [mpmath.mpc(c) for c in b.coords]
+        num = abs(1 - mpmath.fsum(p * mpmath.conj(q) for p, q in zip(wm, ym))) ** 2
+        den = (1 - mpmath.fsum(abs(p) ** 2 for p in wm)) * (1 - mpmath.fsum(abs(q) ** 2 for q in ym))
+        return float(mpmath.acosh(mpmath.sqrt(num / den)))
+
+
 def ball_points(n: int):
     """Strategy: points with norm <= 0.93, coordinatewise polar sampling."""
     radius = st.floats(min_value=0.0, max_value=0.93)
@@ -105,17 +114,32 @@ class TestDistance:
     def test_close_pairs_against_a_40_digit_reference(self, n):
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(n)
-        with mpmath.workdps(40):
-            for gap in np.geomspace(1e-10, 0.3, 12):
-                w = rng.normal(size=n) + 1j * rng.normal(size=n)
-                w *= rng.uniform(0.0, 0.8) / np.linalg.norm(w)
-                y = w + gap * (rng.normal(size=n) + 1j * rng.normal(size=n))
-                a, b = BallPoint(tuple(w)), BallPoint(tuple(y))
-                wm, ym = [mpmath.mpc(c) for c in a.coords], [mpmath.mpc(c) for c in b.coords]
-                num = abs(1 - mpmath.fsum(p * mpmath.conj(q) for p, q in zip(wm, ym))) ** 2
-                den = (1 - mpmath.fsum(abs(p) ** 2 for p in wm)) * (1 - mpmath.fsum(abs(q) ** 2 for q in ym))
-                exact = float(mpmath.acosh(mpmath.sqrt(num / den)))
-                assert hyperbolic_distance(a, b) == pytest.approx(exact, rel=4e-15)
+        for gap in np.geomspace(1e-10, 0.3, 12):
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
+            w *= rng.uniform(0.0, 0.8) / np.linalg.norm(w)
+            y = w + gap * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            a, b = BallPoint(tuple(w)), BallPoint(tuple(y))
+            exact = distance_40_digits(mpmath, a, b)
+            assert hyperbolic_distance(a, b) == pytest.approx(exact, rel=4e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_far_pairs_against_a_40_digit_reference(self, n):
+        # antipodal pairs 0.999999 from the centre, then random pairs out to 0.999999;
+        # rounding |w|^2 moves d by about eps / (1 - |w|^2), as rounding w itself
+        # would, where atanh of a rounded tanh near 1 would be off by cosh^2 d eps
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        unit = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pairs = [(0.999999 * unit / np.linalg.norm(unit), -0.999999 * unit / np.linalg.norm(unit))]
+        for _ in range(20):
+            w, y = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+            pairs.append((w * rng.uniform(0.5, 0.999999) / np.linalg.norm(w),
+                          y * rng.uniform(0.5, 0.999999) / np.linalg.norm(y)))
+        for w, y in pairs:
+            a, b = BallPoint(tuple(w)), BallPoint(tuple(y))
+            exact = distance_40_digits(mpmath, a, b)
+            allowed = 4e-16 * n * (1.0 / (1.0 - a.norm_sq) + 1.0 / (1.0 - b.norm_sq))
+            assert abs(hyperbolic_distance(a, b) - exact) <= allowed + 4.0 * math.ulp(exact)
 
     def test_pair_too_far_for_tanh_takes_acosh(self):
         # tanh of the distance rounds to 1 here, so atanh cannot give it

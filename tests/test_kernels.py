@@ -521,8 +521,11 @@ class TestAdsCentralIdentity:
         try:
             value = ads_kernel_integral(t, 1, 0.0, theta, quad_config=cfg)
         except ConvergenceError:
+            if t > 1e-3:
+                raise
             return  # at t = 1e-3 the kernel, 2.6e-17, is below what doubles resolve there
         assert abs(value - exact) <= max(cfg.abs_tol, cfg.rel_tol * abs(exact))
+
 
 def _maass_direct_reference(t: float, m: int, d: float) -> float:
     """V(d) for n = 1 by the direct route in 25-digit mpmath.
