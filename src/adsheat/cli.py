@@ -44,9 +44,10 @@ from .geometry import (
     TWO_PI,
     BallPoint,
     FiberAngle,
-    hyperbolic_distance,
-    phase_factor,
+    bergman_pairing,
     point_at_distance,
+    require_int,
+    twist_phase,
 )
 from .kernels import (
     DIRECT_ROUTE_MIN_DISTANCE,
@@ -61,7 +62,7 @@ from .kernels import (
 )
 from .quadrature import ConvergenceError, QuadratureConfig
 from .radial_heat import hyperbolic_heat_kernel
-from .special import gauss_2f1_terminating
+from .special import chebyshev_T, gauss_2f1_terminating
 from .verify import DEFAULT_SUITES, run_default_suite
 
 
@@ -394,24 +395,30 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     )
 
 
-def _resolve_points(
-    args: argparse.Namespace, n: int, d: float
-) -> tuple[BallPoint, BallPoint, float]:
-    """The point pair from --w/--y, or at distance d along axis 1.
+def _paired_points(
+    args: argparse.Namespace, n: int, d_values: list[float]
+) -> tuple[list[tuple[BallPoint, BallPoint]], np.ndarray, np.ndarray, np.ndarray]:
+    """The point pairs of a row group and one pairing of them.
 
-    The third item is the distance a row reports: d as given, or the
-    distance of the --w/--y pair.
+    Each pair comes from --w/--y, or lies at its d along axis 1.  Returns
+    the pairs, the distance each row reports (d as given, or the pair's),
+    and the pairing's distances and twists.
     """
     w_raw, y_raw = args.w, args.y
     if w_raw is None and y_raw is None:
-        return point_at_distance(d, n), BallPoint.origin(n), d
-    w = BallPoint(w_raw) if w_raw is not None else BallPoint.origin(len(y_raw))
-    y = BallPoint(y_raw) if y_raw is not None else BallPoint.origin(w.n)
-    if w.n != n or y.n != n:
-        raise UsageError(
-            f"--w/--y have dimension {w.n}/{y.n} but n={n}; pass matching --n"
-        )
-    return w, y, hyperbolic_distance(w, y)
+        pairs = [(point_at_distance(d, n), BallPoint.origin(n)) for d in d_values]
+    else:
+        w = BallPoint(w_raw) if w_raw is not None else BallPoint.origin(len(y_raw))
+        y = BallPoint(y_raw) if y_raw is not None else BallPoint.origin(w.n)
+        if w.n != n or y.n != n:
+            raise UsageError(
+                f"--w/--y have dimension {w.n}/{y.n} but n={n}; pass matching --n"
+            )
+        pairs = [(w, y)] * len(d_values)
+    coords = [np.array(c) for c in zip(*(w.coords + y.coords for w, y in pairs))]
+    dists, twists = bergman_pairing(coords[:n], coords[n:])
+    shown = np.array(d_values) if w_raw is None and y_raw is None else dists
+    return pairs, shown, dists, twists
 
 
 def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
@@ -426,20 +433,19 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n, kappa = group[0]["t"], group[0]["n"], group[0]["kappa"]
-        pairs = [_resolve_points(args, n, p["d"]) for p in group]
-        dists = np.array([d for _, _, d in pairs])
+        _, dists, _, twists = _paired_points(args, n, [p["d"] for p in group])
+        phases = twist_phase(twists, kappa)
         substituted = maass_radial_profile(t, n, kappa, dists, config=quad)
         far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
         direct = substituted.copy()
         direct[far] = maass_direct_profile(t, n, kappa, dists[far], config=quad)
 
         def row(i: int) -> dict[str, Any]:
-            w, y, shown_d = pairs[i]
-            phase = phase_factor(w, y, kappa)
+            phase = complex(phases[i])
             v = phase * float(direct[i])
             return {
                 **group[i],
-                "d": shown_d,
+                "d": float(dists[i]),
                 "re(v)": v.real,
                 "im(v)": v.imag,
                 "route": "direct" if far[i] else "substituted",
@@ -457,28 +463,28 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
     report_theorem = args.normalization == "theorem"
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        t, n, d = group[0]["t"], group[0]["n"], group[0]["d"]
-        w, y, shown_d = _resolve_points(args, n, d)
-        queries = [AdsKernelQuery(t, n, w, y, FiberAngle(p["theta"])) for p in group]
-        angles, dist = [q.theta_eff for q in queries], hyperbolic_distance(w, y)
-        detail = ads_kernel_series_detail(queries[0], series_cfg, quad)
+        t, n = group[0]["t"], group[0]["n"]
+        [(w, y)], (shown_d,), (dist,), (twist,) = _paired_points(args, n, [group[0]["d"]])
+        fibers = [FiberAngle(p["theta"]) for p in group]
+        angles = [f.theta + float(twist) for f in fibers]
+        detail = ads_kernel_series_detail(AdsKernelQuery(t, n, w, y, fibers[0]), series_cfg, quad)
         integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
 
-        def row(query: AdsKernelQuery, integral: float) -> dict[str, Any]:
-            series = detail.at_angle(query.theta_eff).value
+        def row(fiber: FiberAngle, angle: float, integral: float) -> dict[str, Any]:
+            series = detail.at_angle(angle).value
             s = series / TWO_PI if report_theorem else series
             return {
                 "t": t,
                 "n": n,
-                "d": shown_d,
-                "theta": query.theta.theta,
+                "d": float(shown_d),
+                "theta": fiber.theta,
                 "re(s)": s.real,
                 "im(s)": s.imag,
                 "series_terms_used": 2 * detail.modes_used + 1,
                 "route_discrepancy": abs(integral - series / TWO_PI),
             }
 
-        return [row(q, i) for q, i in zip(queries, integrals)]
+        return [row(*r) for r in zip(fibers, angles, integrals)]
 
     return rows
 
@@ -531,9 +537,7 @@ def _handle_eval(args: argparse.Namespace) -> int:
 def _handle_identity(args: argparse.Namespace) -> int:
     value_lists = _merge_options(args, "identity")
     which = args.which
-    k_terms = args.k_max
-    if k_terms is None or k_terms < 0:
-        raise UsageError("--k-max must be a non-negative integer for identity")
+    k_terms = require_int(args.k_max, "--k-max", 1)
 
     m_values = value_lists["m"]
     if m_values == [None]:
@@ -559,7 +563,7 @@ def _handle_identity(args: argparse.Namespace) -> int:
         for m in m_values:
             for u in value_lists["u"]:
                 lhs = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
-                rows.append(row("gauss-cosh", lhs, math.cosh(m * u), m=m, u=u))
+                rows.append(row("gauss-cosh", lhs, chebyshev_T(m, math.cosh(u)), m=m, u=u))
     if which in ("both", "theta"):
         for t in value_lists["t"]:
             for u in value_lists["u"]:

@@ -9,13 +9,12 @@ circle bundle is parametrized by an angle theta, stored canonically in
 
 The quantities every kernel in this package consumes are computed here:
 the Hermitian pairing of two ball points, the Bergman hyperbolic distance
-(also for arrays of disc points), the twist angle of a pair, and the
-unimodular twist factor attached to a half-integer spin weight.
+and twist angle of a pair (formed together, for ball points and arrays of
+points alike), and the unimodular twist factor of a half-integer spin weight.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -127,80 +126,68 @@ def point_at_distance(d: float, n: int = 1) -> BallPoint:
     return BallPoint((complex(math.tanh(d)),) + (0j,) * (n - 1))
 
 
-def _require_same_dim(w: BallPoint, y: BallPoint) -> None:
-    if w.n != y.n:
-        raise ValueError(
-            f"ball points live in different dimensions: {w.n} versus {y.n}"
-        )
+def _require_same_dim(n_w: int, n_y: int) -> None:
+    if n_w != n_y:
+        raise ValueError(f"ball points live in different dimensions: {n_w} versus {n_y}")
 
 
 def hermitian_inner(w: BallPoint, y: BallPoint) -> complex:
     """Hermitian pairing ``sum_i w_i * conj(y_i)`` (antilinear in ``y``)."""
-    _require_same_dim(w, y)
+    _require_same_dim(w.n, y.n)
     return sum(
         (wc * yc.conjugate() for wc, yc in zip(w.coords, y.coords)),
         start=0j,
     )
 
 
-def _pair_terms(w: BallPoint, y: BallPoint) -> tuple[float, float]:
-    """``(|1 - <w,y>|^2, cosh^2)`` of the pair; see :func:`cosh_sq_distance`."""
-    z = 1.0 - hermitian_inner(w, y)
-    num = (z * z.conjugate()).real
-    val = num / ((1.0 - w.norm_sq) * (1.0 - y.norm_sq))
-    if val < 1.0:
-        if val < _COSH_SQ_FLOOR:
-            raise ValueError(
-                f"cosh^2(distance) evaluated to {val}, far below its lower bound 1; "
-                "inputs are likely corrupt"
-            )
-        return num, 1.0
-    return num, val
+def bergman_pairing(w, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, twist)`` of point pairs: Bergman distance and ``Arg(1 - <w,y>)``.
 
-
-def cosh_sq_distance(w: BallPoint, y: BallPoint) -> float:
-    """``cosh^2`` of the Bergman distance between ``w`` and ``y``.
-
-    Computed as ``|1 - <w,y>|^2 / ((1 - |w|^2)(1 - |y|^2))``, which is
-    >= 1 in exact arithmetic; values caught just below 1 by rounding are
-    clamped back to 1.
+    ``w`` and ``y`` hold the n complex coordinates of each point, each a
+    number or an array (arrays broadcast; the pairing is elementwise, in
+    real arithmetic, so a pair gives the same bits alone and in an array).
+    With cosh^2 d = num / den, num = |1 - <w,y>|^2, den = (1 - |w|^2)(1 -
+    |y|^2): pairs with cosh^2 < 2 (d < 0.88) take atanh(sqrt((num - den) /
+    num)), with num - den = |e|^2 - sum_{i<j} |w_i e_j - w_j e_i|^2, e = y -
+    w (Lagrange's identity), formed without subtracting from 1 so d keeps
+    its relative precision as d -> 0; farther pairs take acosh(sqrt(cosh^2)),
+    where atanh would magnify the rounding of tanh by cosh^2 d.  cosh^2 just
+    below 1 is rounding; further below raises ``ValueError``.  The twist lies
+    in (-pi/2, pi/2), as Re(1 - <w,y>) > 0 on the ball.
     """
-    return _pair_terms(w, y)[1]
+    _require_same_dim(len(w), len(y))
+    w_sq = y_sq = z_re = z_im = gap = 0.0  # z: conj <w,y>, then 1 - <w,y>; gap = num - den
+    coords = [(p.real, p.imag, q.real, q.imag) for p, q in zip(w, y)]
+    for i, (a, b, c, g) in enumerate(coords):
+        w_sq, y_sq = w_sq + (a * a + b * b), y_sq + (c * c + g * g)
+        z_re, z_im = z_re + (a * c + b * g), z_im + (a * g - b * c)
+        e, f = c - a, g - b  # e_i = y_i - w_i
+        gap = gap + (e * e + f * f)
+        for a2, b2, c2, g2 in coords[:i]:  # less |w_i e_j - w_j e_i|^2
+            e2, f2 = c2 - a2, g2 - b2
+            x = (a * e2 - b * f2) - (a2 * e - b2 * f)
+            v = (a * f2 + b * e2) - (a2 * f + b2 * e)
+            gap = gap - (x * x + v * v)
+    z_re = 1.0 - z_re
+    num = z_re * z_re + z_im * z_im
+    cosh_sq = num / ((1.0 - w_sq) * (1.0 - y_sq))
+    if np.less(cosh_sq, _COSH_SQ_FLOOR).any():
+        raise ValueError(
+            f"cosh^2(distance) evaluated to {np.min(cosh_sq)}, far below its lower bound 1; "
+            "inputs are likely corrupt"
+        )
+    far = cosh_sq >= 2.0  # each branch gets an argument in its domain where not taken
+    tanh = np.sqrt(np.where(far, 0.0, np.maximum(gap, 0.0) / num))
+    d = np.where(far, np.arccosh(np.sqrt(np.where(far, cosh_sq, 1.0))), np.arctanh(tanh))
+    return d, np.arctan2(z_im, z_re)
 
 
 def hyperbolic_distance(w: BallPoint, y: BallPoint) -> float:
-    """Bergman hyperbolic distance between two ball points.
+    """Bergman hyperbolic distance between two ball points (see :func:`bergman_pairing`).
 
-    For n = 1 this is the curvature -4 Poincare distance, e.g.
-    ``hyperbolic_distance(origin, y) == arctanh|y|``.  Pairs with cosh^2 < 2
-    (d < 0.88) take ``atanh(sqrt(tanh^2))`` with ``tanh^2 = (num - den) /
-    num`` (num and den as in :func:`cosh_sq_distance`), where ``num - den =
-    |w - y|^2 - sum_{i<j} |w_i e_j - w_j e_i|^2`` with e = y - w (Lagrange's
-    identity) is formed without subtracting from 1, so d keeps its relative
-    precision as d -> 0.  Farther pairs take ``acosh(sqrt(cosh^2))``, where
-    atanh would magnify the rounding of tanh by cosh^2 d.
+    For n = 1 this is the curvature -4 Poincare distance: arctanh|y| from the origin.
     """
-    num, c2 = _pair_terms(w, y)
-    if c2 >= 2.0:
-        return math.acosh(math.sqrt(c2))
-    a, e = w.coords, [q - p for p, q in zip(w.coords, y.coords)]
-    crossed = (a[i] * e[j] - a[j] * e[i] for i in range(len(a)) for j in range(i))
-    gap = sum(abs(c) ** 2 for c in e) - sum(abs(c) ** 2 for c in crossed)
-    return math.atanh(math.sqrt(max(gap, 0.0) / num))
-
-
-def disc_distance(w: np.ndarray, y: complex) -> np.ndarray:
-    """Bergman distances from an array of disc points ``w`` (n = 1) to ``y``.
-
-    The elementwise form of :func:`hyperbolic_distance`: ``cosh^2`` is
-    ``|1 - w conj(y)|^2 / ((1 - |w|^2)(1 - |y|^2))``, clamped up to 1.
-    Every ``w`` must lie inside the disc.
-    """
-    z = 1.0 - w * np.conjugate(y)
-    cosh_sq = (z * z.conjugate()).real / (
-        (1.0 - (w * w.conjugate()).real) * (1.0 - abs(y) ** 2)
-    )
-    return np.arccosh(np.sqrt(np.maximum(cosh_sq, 1.0)))
+    return float(bergman_pairing(w.coords, y.coords)[0])
 
 
 def twist_angle(w: BallPoint, y: BallPoint) -> float:
@@ -208,8 +195,7 @@ def twist_angle(w: BallPoint, y: BallPoint) -> float:
 
     ``Re(1 - <w,y>) > 0`` on the ball, so the angle lies in ``(-pi/2, pi/2)``.
     """
-    z = 1.0 - hermitian_inner(w, y)
-    return math.atan2(z.imag, z.real)
+    return float(bergman_pairing(w.coords, y.coords)[1])
 
 
 def phase_factor(w: BallPoint, y: BallPoint, kappa: float) -> complex:
@@ -220,5 +206,10 @@ def phase_factor(w: BallPoint, y: BallPoint, kappa: float) -> complex:
     argument lies in ``(-pi/2, pi/2)`` (see :func:`twist_angle`), so the
     half-integer power is single valued.
     """
-    kappa = require_half_integer(kappa)
-    return cmath.exp(complex(0.0, -2.0 * kappa * twist_angle(w, y)))
+    return complex(twist_phase(twist_angle(w, y), kappa))
+
+
+def twist_phase(twist, kappa: float):
+    """``exp(-2i * kappa * twist)``, elementwise: the factor of spin weight
+    ``kappa`` for pairs of the given twist (see :func:`bergman_pairing`)."""
+    return np.exp(-2j * require_half_integer(kappa) * twist)

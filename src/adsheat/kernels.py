@@ -57,11 +57,11 @@ import numpy as np
 from .geometry import (
     BallPoint,
     FiberAngle,
-    hyperbolic_distance,
-    phase_factor,
+    bergman_pairing,
     require_half_integer,
     require_int,
     twist_angle,
+    twist_phase,
 )
 from .quadrature import (
     _CALL_ROWS,
@@ -365,9 +365,9 @@ def maass_kernel_substituted(
     ``phase_factor(w, y, kappa) * V(d)`` with V from
     :func:`maass_radial_profile`, at the tolerances of :class:`QuadratureConfig`.
     """
-    d = hyperbolic_distance(query.w, query.y)
+    d, twist = bergman_pairing(query.w.coords, query.y.coords)
     v = maass_radial_profile(query.t, query.n, query.kappa, d, config or QuadratureConfig())
-    return phase_factor(query.w, query.y, query.kappa) * v
+    return complex(twist_phase(twist, query.kappa)) * v
 
 
 def maass_kernel_direct(
@@ -378,9 +378,9 @@ def maass_kernel_direct(
     As :func:`maass_kernel_substituted`, with V from :func:`maass_direct_profile`:
     the two routes share nothing past q_t, so their agreement validates both.
     """
-    d = hyperbolic_distance(query.w, query.y)
+    d, twist = bergman_pairing(query.w.coords, query.y.coords)
     v = maass_direct_profile(query.t, query.n, query.kappa, d, config or QuadratureConfig())
-    return phase_factor(query.w, query.y, query.kappa) * v
+    return complex(twist_phase(twist, query.kappa)) * v
 
 
 def _baseline_mode_count(t: float, v0: float, eps_tail: float) -> int:
@@ -426,7 +426,8 @@ def ads_kernel_series_detail(
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()
     t, n, eps = query.t, query.n, s_cfg.eps_tail
-    d = hyperbolic_distance(query.w, query.y)
+    d, twist = bergman_pairing(query.w.coords, query.y.coords)
+    theta_eff = query.theta.theta + float(twist)
     pinned = s_cfg.k_max_override is not None
     k_cap = s_cfg.k_max_override if pinned else MAX_FIBER_MODES
 
@@ -447,7 +448,7 @@ def ads_kernel_series_detail(
             raise ConvergenceError(
                 f"fiber-mode series not converged after {MAX_FIBER_MODES} modes "
                 f"(last damped pair {2.0 * abs(modes[-1]):.3e} vs eps_tail {eps:.3e})",
-                value=AdsSeriesResult(0j, k_cap, 0.0, tuple(modes)).at_angle(query.theta_eff).value,
+                value=AdsSeriesResult(0j, k_cap, 0.0, tuple(modes)).at_angle(theta_eff).value,
                 error_estimate=2.0 * abs(modes[-1]),
             )
         hi = min(k_cap, max(k_base, 2 * hi))
@@ -455,7 +456,7 @@ def ads_kernel_series_detail(
     modes = modes[: k + 1]
     ratio = math.exp(-2.0 * n * t)
     tail = 2.0 * abs(modes[k]) * ratio / (1.0 - ratio) if k else 0.0
-    return AdsSeriesResult(0j, k, tail, tuple(modes)).at_angle(query.theta_eff)
+    return AdsSeriesResult(0j, k, tail, tuple(modes)).at_angle(theta_eff)
 
 
 def ads_kernel_series(

@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .geometry import BallPoint, disc_distance, require_half_integer
+from .geometry import BallPoint, bergman_pairing, require_half_integer, twist_phase
 from .kernels import _mode_u_max, maass_radial_profile
 from .quadrature import QuadratureConfig, adaptive_gauss_kronrod, gauss_legendre_rule
 from .radial_heat import _validate_t, hyperbolic_heat_kernel
@@ -144,8 +144,9 @@ def check_maass_pde(t: float, kappa: float, *, step: float = 0.02) -> ResidualRe
     over the grid (d/dt v changes sign inside any reasonable grid, so
     pointwise relative error is not a usable metric).  The stencil error
     is O(step^2) and grows with |kappa|; step must be in (0, 0.1).  Mirror
-    points (Im w -> -Im w) and the off-disc corners repeat distances, so
-    each distinct distance is evaluated once (3204 of 6889 at step 0.02).
+    points (Im w -> -Im w) and the off-disc corners, paired as w = 0, repeat
+    distances, so each distinct distance is evaluated once (3203 of 6889 at
+    step 0.02).
     """
     kappa = require_half_integer(kappa)
     if not (t > _DISC_T_STEP):
@@ -160,11 +161,10 @@ def check_maass_pde(t: float, kappa: float, *, step: float = 0.02) -> ResidualRe
 
     # corners of the square lattice leave the unit disc; those points are
     # never read (stencils only touch |w| <= radius + step) but must not
-    # poison the vectorized distance computation, so they get distance 0
+    # poison the vectorized pairing, so they are paired as w = 0
     valid = (w * w.conjugate()).real < 0.9
-    y0 = complex(_DISC_Y_BASE)
-    dists = np.where(valid, disc_distance(np.where(valid, w, 0.0), y0), 0.0)
-    phase = np.exp(-2j * kappa * np.angle(1.0 - w * np.conjugate(y0)))
+    dists, twist = bergman_pairing((np.where(valid, w, 0.0),), (_DISC_Y_BASE,))
+    phase = twist_phase(twist, kappa)
 
     distinct, where = np.unique(dists, return_inverse=True)
     levels = {}
@@ -287,7 +287,7 @@ def check_semigroup_k0(t: float, s: float, z: BallPoint) -> ResidualReport:
     t, s = _validate_t(t), _validate_t(s)
 
     z0 = z.coords[0]
-    d_z = math.atanh(abs(z0))
+    d_z = float(bergman_pairing((0.0,), z.coords)[0])
     rho_max = math.sqrt(160.0 * max(t, s)) + d_z + 1.0
     n_rho, n_phi = 200, 128
     rho, w_rho = gauss_legendre_rule(0.0, rho_max, 1, order=n_rho)
@@ -295,9 +295,9 @@ def check_semigroup_k0(t: float, s: float, z: BallPoint) -> ResidualReport:
 
     v_t = maass_radial_profile(t, 1, 0.0, rho)
 
-    # nodes run out to |y| -> 1, so the distances are taken unmasked
+    # tanh rho < 1 keeps every node inside the disc, so none is masked
     y = np.tanh(rho)[:, None] * np.exp(1j * phi)[None, :]
-    d2 = disc_distance(y, z0)
+    d2 = bergman_pairing((y,), z.coords)[0]
     v_s = maass_radial_profile(s, 1, 0.0, d2.ravel()).reshape(d2.shape)
 
     jac = (np.sinh(rho) * np.cosh(rho) * w_rho)[:, None] * w_phi[None, :]

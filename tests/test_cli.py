@@ -300,14 +300,19 @@ class TestEvalAds:
         # the series and the integral each get the distance of the ball points that
         # stand for d; through acosh(sqrt(cosh^2)) 1.5e-8 came back as 0.0
         seen = []
-        integral, distance = cli.ads_kernel_integral, kernels.hyperbolic_distance
+        integral, pairing = cli.ads_kernel_integral, kernels.bergman_pairing
 
         def integral_spy(t, n, d, *args):
             seen.append(d)
             return integral(t, n, d, *args)
 
+        def series_pairing_spy(w, y):
+            d, twist = pairing(w, y)
+            seen.append(float(d))
+            return d, twist
+
         monkeypatch.setattr(cli, "ads_kernel_integral", integral_spy)
-        monkeypatch.setattr(kernels, "hyperbolic_distance", lambda w, y: seen.append(distance(w, y)) or seen[-1])
+        monkeypatch.setattr(kernels, "bergman_pairing", series_pairing_spy)
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "1", "--d", "1.5e-8", "--theta", "0.3"])
         assert rc == 0
         assert float(out.splitlines()[1].split(",")[2]) == 1.5e-8
@@ -420,6 +425,13 @@ class TestIdentityCommand:
             cells = line.split(",")
             scale = max(1.0, abs(float(cells[8])))
             assert float(cells[10]) / scale < 1e-9
+
+    @pytest.mark.parametrize("which", ["both", "gauss-cosh"])
+    def test_k_max_below_one_rejected(self, capsys, which):
+        rc, out, err = run_cli(capsys, ["identity", "--which", which, "--k-max", "0"])
+        assert rc == 2
+        assert "--k-max must be an integer >= 1" in err
+        assert out == ""
 
     def test_gauss_only_filter(self, capsys):
         rc, out, _ = run_cli(capsys, ["identity", "--which", "gauss-cosh"])

