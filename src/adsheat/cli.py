@@ -13,11 +13,11 @@ of ``key = value`` lines (explicit flags win); ``--grid name=lo:hi:count``
 (inclusive linspace) or ``--grid name=v1,v2,...`` sweeps a parameter, and
 multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
-emitted in grid order and repeated runs are byte-identical.  ``eval-ads``
-and ``eval-maass`` rows that differ only in the innermost column (theta, d)
-form one group that shares each quadrature, so a row's last digits can
-depend on its group; the ``--max-nodes`` budget holds per integral, that is
-per group, and a group that fails is retried row by row.
+emitted in grid order and repeated runs are byte-identical.  Eval rows that
+differ only in the innermost column (x, d, theta) form one group: one q_t
+call, one pairing, one quadrature per route, so a quadrature row's last
+digits can depend on its group; the ``--max-nodes`` budget holds per
+integral, that is per group, and a group that fails is retried row by row.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
@@ -51,7 +51,6 @@ from .geometry import (
 )
 from .kernels import (
     DIRECT_ROUTE_MIN_DISTANCE,
-    AdsKernelQuery,
     SeriesConfig,
     ads_kernel_integral,
     ads_kernel_series_detail,
@@ -397,12 +396,12 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
 
 def _paired_points(
     args: argparse.Namespace, n: int, d_values: list[float]
-) -> tuple[list[tuple[BallPoint, BallPoint]], np.ndarray, np.ndarray, np.ndarray]:
-    """The point pairs of a row group and one pairing of them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pairing of the point pairs of a row group.
 
     Each pair comes from --w/--y, or lies at its d along axis 1.  Returns
-    the pairs, the distance each row reports (d as given, or the pair's),
-    and the pairing's distances and twists.
+    the distance each row reports (d as given, or the pair's), and the
+    pairing's distances and twists.
     """
     w_raw, y_raw = args.w, args.y
     if w_raw is None and y_raw is None:
@@ -418,14 +417,15 @@ def _paired_points(
     coords = [np.array(c) for c in zip(*(w.coords + y.coords for w, y in pairs))]
     dists, twists = bergman_pairing(coords[:n], coords[n:])
     shown = np.array(d_values) if w_raw is None and y_raw is None else dists
-    return pairs, shown, dists, twists
+    return shown, dists, twists
 
 
 def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
-    def row(t: float, n: int, x: float) -> dict[str, Any]:
-        return {"t": t, "n": n, "x": x, "q": float(hyperbolic_heat_kernel(t, n, x))}
+    def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        qs = hyperbolic_heat_kernel(group[0]["t"], group[0]["n"], [p["x"] for p in group])
+        return [{**p, "q": float(q)} for p, q in zip(group, qs)]
 
-    return lambda group: [row(**p) for p in group]
+    return rows
 
 
 def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
@@ -433,7 +433,7 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n, kappa = group[0]["t"], group[0]["n"], group[0]["kappa"]
-        _, dists, _, twists = _paired_points(args, n, [p["d"] for p in group])
+        dists, _, twists = _paired_points(args, n, [p["d"] for p in group])  # d as shown
         phases = twist_phase(twists, kappa)
         substituted = maass_radial_profile(t, n, kappa, dists, config=quad)
         far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
@@ -464,27 +464,26 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n = group[0]["t"], group[0]["n"]
-        [(w, y)], (shown_d,), (dist,), (twist,) = _paired_points(args, n, [group[0]["d"]])
-        fibers = [FiberAngle(p["theta"]) for p in group]
-        angles = [f.theta + float(twist) for f in fibers]
-        detail = ads_kernel_series_detail(AdsKernelQuery(t, n, w, y, fibers[0]), series_cfg, quad)
+        (shown_d,), (dist,), (twist,) = _paired_points(args, n, [group[0]["d"]])
+        fibers = [FiberAngle(p["theta"]).theta for p in group]
+        angles = [f + float(twist) for f in fibers]
+        detail = ads_kernel_series_detail(t, n, dist, angles[0], series_cfg, quad)
         integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
 
-        def row(fiber: FiberAngle, angle: float, integral: float) -> dict[str, Any]:
+        def row(p: dict[str, Any], fiber: float, angle: float, integral: float) -> dict[str, Any]:
             series = detail.at_angle(angle).value
             s = series / TWO_PI if report_theorem else series
             return {
-                "t": t,
-                "n": n,
+                **p,
                 "d": float(shown_d),
-                "theta": fiber.theta,
+                "theta": fiber,
                 "re(s)": s.real,
                 "im(s)": s.imag,
                 "series_terms_used": 2 * detail.modes_used + 1,
                 "route_discrepancy": abs(integral - series / TWO_PI),
             }
 
-        return [row(*r) for r in zip(fibers, angles, integrals)]
+        return [row(*r) for r in zip(group, fibers, angles, integrals)]
 
     return rows
 
@@ -499,10 +498,9 @@ _ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[
 def _handle_eval(args: argparse.Namespace) -> int:
     """Merge options, build the grid, evaluate rows in order, emit them.
 
-    ``eval-ads`` and ``eval-maass`` rows differing only in the innermost
-    column (theta, d) are evaluated as one group.  A row that does not
-    converge on its own is left out and listed on stderr; the exit code is
-    then 3.
+    Rows differing only in the innermost column (x, d or theta) are evaluated
+    as one group.  A row that does not converge on its own is left out and
+    listed on stderr; the exit code is then 3.
     """
     command = args.command
     value_lists = _merge_options(args, command)
@@ -511,7 +509,7 @@ def _handle_eval(args: argparse.Namespace) -> int:
         raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
     group_rows = _ROW_BUILDERS[command](args)
     params_list = _grid_product(value_lists)
-    shared = _GRID_ORDER[command][: None if command == "eval-hyperbolic" else -1]
+    shared = _GRID_ORDER[command][:-1]
     rows: list[dict[str, Any]] = []
     failures: list[tuple[dict[str, Any], ConvergenceError]] = []
 

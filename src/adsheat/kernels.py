@@ -25,7 +25,8 @@ Three kernels are evaluated here.
   ``(4 pi t)^(-1/2) sum_k int_R exp((u - i theta - 2 i k pi)^2 / 4t)
   q_t(x(u)) du`` stated at base point w = 0, evaluated as one real cosine
   transform per copy.  The integral form equals the series divided by
-  2 pi; their agreement is the central cross-check of this package.
+  2 pi; their agreement is the central cross-check of this package.  Both
+  take (t, n, d, theta, configs); :func:`ads_kernel_series` pairs ball points.
 
 * ``theta_identity_lhs`` / ``theta_identity_rhs``: the two sides of the
   Poisson-summation bridge between those routes,
@@ -60,7 +61,6 @@ from .geometry import (
     bergman_pairing,
     require_half_integer,
     require_int,
-    twist_angle,
     twist_phase,
 )
 from .quadrature import (
@@ -161,11 +161,6 @@ class AdsKernelQuery:
         _validate_query(self)
         if not isinstance(self.theta, FiberAngle):
             object.__setattr__(self, "theta", FiberAngle(self.theta))
-
-    @property
-    def theta_eff(self) -> float:
-        """``theta + Arg(1 - <w,y>)``: the fiber angle the mode phases see."""
-        return self.theta.theta + twist_angle(self.w, self.y)
 
 
 @dataclass(frozen=True)
@@ -396,19 +391,21 @@ def _baseline_mode_count(t: float, v0: float, eps_tail: float) -> int:
 
 
 def ads_kernel_series_detail(
-    query: AdsKernelQuery,
+    t: float,
+    n: int,
+    d: float,
+    theta: float,
     series_config: SeriesConfig | None = None,
     quad_config: QuadratureConfig | None = None,
 ) -> AdsSeriesResult:
     """Fiber-mode series for the subelliptic kernel, with diagnostics.
 
-    Computes ``sum_k v_{t,n,k/2}(w,y) e^{-ik theta} e^{-t k^2}``.  Each
-    mode's phase factor is ``e^{-ik Arg(1 - <w,y>)}``, so conjugate mode
-    pairs combine to ``2 cos(k theta') * e^{-t k^2} V_k(d)`` with
-    ``theta' = theta + Arg(1 - <w,y>)`` and V_k real: the sum is real for
-    every query, as it must be (it is the kernel of a real operator).  No
-    damped mode depends on theta: :meth:`AdsSeriesResult.at_angle` re-sums
-    them at another theta'.
+    Computes ``sum_k e^{-t k^2} V_k(d) e^{-ik theta}`` at distance 0 <= d <
+    700 and effective fiber angle ``theta``, used as given: a pair (w, y)
+    moves the fiber angle by Arg(1 - <w,y>) (see :func:`ads_kernel_series`).
+    Conjugate modes pair to ``2 cos(k theta) e^{-t k^2} V_k(d)`` with V_k
+    real, so the sum is real (the kernel of a real operator).  No damped
+    mode depends on theta: :meth:`AdsSeriesResult.at_angle` re-sums them.
 
     Truncation: at least the floor count of :func:`_baseline_mode_count`
     modes are summed, then modes are added until the last damped pair
@@ -423,12 +420,11 @@ def ads_kernel_series_detail(
     come out negative (t = 0.2, d = 0.5, theta = 3.14159 gives -2.7e-10 with
     ``tail_estimate`` 1.4e-9).  Compare ``tail_estimate`` with ``|value|``.
     """
-    s_cfg = series_config or SeriesConfig()
-    q_cfg = quad_config or QuadratureConfig()
-    t, n, eps = query.t, query.n, s_cfg.eps_tail
-    d, twist = bergman_pairing(query.w.coords, query.y.coords)
-    theta_eff = query.theta.theta + float(twist)
-    pinned = s_cfg.k_max_override is not None
+    t, n, d = _validate_t(t), _validate_n(n), float(_validate_distances(d))
+    if not math.isfinite(theta_eff := float(theta)):
+        raise ValueError(f"fiber angle must be finite, got {theta!r}")
+    s_cfg, q_cfg = series_config or SeriesConfig(), quad_config or QuadratureConfig()
+    eps, pinned = s_cfg.eps_tail, s_cfg.k_max_override is not None
     k_cap = s_cfg.k_max_override if pinned else MAX_FIBER_MODES
 
     modes: list[float] = []
@@ -464,8 +460,11 @@ def ads_kernel_series(
     series_config: SeriesConfig | None = None,
     quad_config: QuadratureConfig | None = None,
 ) -> complex:
-    """Fiber-mode series value; see :func:`ads_kernel_series_detail`."""
-    return ads_kernel_series_detail(query, series_config, quad_config).value
+    """Fiber-mode series value at a point pair, paired once for its distance and
+    twist; see :func:`ads_kernel_series_detail`."""
+    d, twist = bergman_pairing(query.w.coords, query.y.coords)
+    theta = query.theta.theta + float(twist)
+    return ads_kernel_series_detail(query.t, query.n, d, theta, series_config, quad_config).value
 
 
 def ads_kernel_integral(

@@ -1,8 +1,8 @@
 """Radial heat kernel on odd-dimensional real hyperbolic space.
 
-The heat kernel of (one half of) the Laplace-Beltrami operator on
-H^{2n+1}, as a function of geodesic distance x, is obtained by applying
-the first-order operator
+The heat kernel of the full Laplace-Beltrami operator Delta on H^{2n+1}
+(curvature -1; the spectrum of Delta is (-inf, -n^2]), as a function of
+geodesic distance x, is obtained by applying the first-order operator
 
     M f(x) = -(1 / sinh x) * f'(x)
 
@@ -259,7 +259,10 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
     # the sinh overflow every term is 0 (or inf * 0 where x^p overflows too)
     def live(y):
         ok = y <= _SINH_FINITE_MAX
-        return ok if scaled else ok & (y * y / (4.0 * t) <= GAUSS_EXP_CUTOFF)
+        if scaled:
+            return ok
+        with np.errstate(over="ignore"):  # an exponent past double range is dead too
+            return ok & (y * y / (4.0 * t) <= GAUSS_EXP_CUTOFF)
 
     if lo >= threshold and live(hi):
         out = regular_values(flat)
@@ -280,9 +283,9 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
 def hyperbolic_heat_kernel(t: float, n: int, x):
     """Heat kernel q_t at geodesic distance x on H^(2n+1).
 
-    Radial profile of ``exp(t * Delta / ... )`` normalized so that
-    ``integral q_t dvol = 1``; the generator is half the Laplace-Beltrami
-    operator, i.e. q solves ``dq/dt = q'' + 2n coth(x) q'`` away from 0.
+    Radial profile of ``exp(t Delta)``, Delta the full Laplace-Beltrami
+    operator (spectral bottom -n^2, hence the factor ``e^{-n^2 t}``), normalized
+    so that ``integral q_t dvol = 1``: q solves ``dq/dt = q'' + 2n coth(x) q'`` for x > 0.
     ``x`` may be a scalar or array, entries >= 0.
     """
     return _eval_kernel(t, n, x, scaled=False)

@@ -46,6 +46,23 @@ class TestEvalHyperbolic:
         assert [r.split(",")[0] for r in rows] == ["0.5"] * 3 + ["1"] * 3
         assert [r.split(",")[2] for r in rows[:3]] == ["1", "1.5", "2"]
 
+    def test_one_kernel_call_per_group(self, capsys, monkeypatch):
+        calls = []
+        real = cli.hyperbolic_heat_kernel
+
+        def spy(t, n, x):
+            calls.append((t, n, len(x)))
+            return real(t, n, x)
+
+        monkeypatch.setattr(cli, "hyperbolic_heat_kernel", spy)
+        rc, out, _ = run_cli(capsys, ["eval-hyperbolic", "--grid", "n=1,2", "--grid", "x=0,0.5,1"])
+        assert rc == 0
+        assert calls == [(1.0, 1, 3), (1.0, 2, 3)]
+        # each row carries the bits of its own scalar call
+        for line in out.splitlines()[1:]:
+            t, n, x, q = line.split(",")
+            assert float(q) == real(float(t), int(n), float(x))
+
     def test_jobs_flag_and_config_key_are_rejected(self, capsys, tmp_path):
         # --jobs and the config key jobs are not options: usage errors
         argv = ["eval-hyperbolic", "--grid", "x=0.1:3:7", "--grid", "t=0.5,1,2"]
@@ -300,23 +317,45 @@ class TestEvalAds:
         # the series and the integral each get the distance of the ball points that
         # stand for d; through acosh(sqrt(cosh^2)) 1.5e-8 came back as 0.0
         seen = []
-        integral, pairing = cli.ads_kernel_integral, kernels.bergman_pairing
 
-        def integral_spy(t, n, d, *args):
-            seen.append(d)
-            return integral(t, n, d, *args)
+        def spy(name):
+            real = getattr(cli, name)
 
-        def series_pairing_spy(w, y):
-            d, twist = pairing(w, y)
-            seen.append(float(d))
-            return d, twist
+            def wrapper(t, n, d, *args):
+                seen.append(float(d))
+                return real(t, n, d, *args)
 
-        monkeypatch.setattr(cli, "ads_kernel_integral", integral_spy)
-        monkeypatch.setattr(kernels, "bergman_pairing", series_pairing_spy)
+            return wrapper
+
+        for name in ("ads_kernel_series_detail", "ads_kernel_integral"):
+            monkeypatch.setattr(cli, name, spy(name))
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "1", "--d", "1.5e-8", "--theta", "0.3"])
         assert rc == 0
         assert float(out.splitlines()[1].split(",")[2]) == 1.5e-8
         assert len(seen) == 2 and all(abs(d - 1.5e-8) <= 4.0 * math.ulp(1.5e-8) for d in seen)
+
+    @pytest.mark.parametrize(
+        "geometry", [["--d", "0.5"], ["--w", "0.3+0.1j", "--y", "0.2j"]], ids=["axis", "twisted"]
+    )
+    def test_each_group_is_paired_once(self, capsys, monkeypatch, geometry):
+        calls = []
+
+        def spy(module):
+            real = module.bergman_pairing
+
+            def wrapper(w, y):
+                calls.append(module.__name__)
+                return real(w, y)
+
+            return wrapper
+
+        for module in (cli, kernels):
+            monkeypatch.setattr(module, "bergman_pairing", spy(module))
+        argv = ["eval-ads", "--grid", "t=0.8,1", "--grid", "theta=0,1,2"] + geometry
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        assert len(out.splitlines()) == 7
+        assert calls == ["adsheat.cli", "adsheat.cli"]
 
     def test_route_discrepancy_small(self, capsys):
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "0.8", "--d", "0.5"])

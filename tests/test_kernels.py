@@ -273,9 +273,7 @@ class TestDirectProfile:
 
 class TestAdsSeries:
     def test_against_frozen_oracle(self):
-        w, y = pair_at(0.3)
-        query = AdsKernelQuery(1.0, 1, w, y, 0.7)
-        detail = ads_kernel_series_detail(query, SeriesConfig(eps_tail=1e-13))
+        detail = ads_kernel_series_detail(1.0, 1, 0.3, 0.7, SeriesConfig(eps_tail=1e-13))
         assert detail.value.imag == 0.0
         assert detail.value.real == pytest.approx(ORACLE_S_1_1_03_07, rel=1e-10)
 
@@ -302,28 +300,24 @@ class TestAdsSeries:
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_large_time_collapses_to_few_modes(self):
-        w, y = pair_at(0.5)
-        detail = ads_kernel_series_detail(AdsKernelQuery(50.0, 1, w, y, 0.3))
+        detail = ads_kernel_series_detail(50.0, 1, 0.5, 0.3)
         assert detail.modes_used <= 3
         assert detail.tail_estimate < 1e-20
 
     def test_series_emits_no_warning(self):
         # truncation is reported as data (modes_used, tail_estimate), never
         # as a RuntimeWarning
-        w, y = pair_at(0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            detail = ads_kernel_series_detail(AdsKernelQuery(0.7, 1, w, y, 0.0))
+            detail = ads_kernel_series_detail(0.7, 1, 0.0, 0.0)
         assert detail.value.real > 0.0
 
     def test_mode_floor_holds_small_kernels(self):
         # the value (~9.5e-10) sits below eps_tail, so the first damped pair
         # already does; the floor keeps summing (6 modes, not 1) and the
         # result matches a tight reference instead of being 2.7e-3 off
-        w, y = pair_at(0.0, 3)
-        query = AdsKernelQuery(1.5, 3, w, y, 0.7)
-        default = ads_kernel_series_detail(query)
-        reference = ads_kernel_series_detail(query, SeriesConfig(eps_tail=1e-15))
+        default = ads_kernel_series_detail(1.5, 3, 0.0, 0.7)
+        reference = ads_kernel_series_detail(1.5, 3, 0.0, 0.7, SeriesConfig(eps_tail=1e-15))
         assert default.modes_used >= 6
         assert default.value.real == pytest.approx(reference.value.real, rel=1e-6)
 
@@ -333,23 +327,20 @@ class TestAdsSeries:
     )
     def test_modes_used_frozen(self, t, d, modes):
         # counts of the one-integral-per-mode series; blocks must not move them
-        detail = ads_kernel_series_detail(AdsKernelQuery(t, 1, *pair_at(d), 0.7))
+        detail = ads_kernel_series_detail(t, 1, d, 0.7)
         assert detail.modes_used == modes
         assert len(detail.damped_modes) == modes + 1
 
     @pytest.mark.parametrize("w, y", [((0.46,), (0.0,)), ((0.3 + 0.1j,), (0.2j,))])
     def test_at_angle_equals_a_fresh_series(self, w, y):
         w, y = BallPoint(w), BallPoint(y)
-        first = AdsKernelQuery(0.4, 1, w, y, 0.7)
-        other = AdsKernelQuery(0.4, 1, w, y, 4.1)
-        moved = ads_kernel_series_detail(first).at_angle(other.theta_eff)
-        assert moved == ads_kernel_series_detail(other)
+        d, twist = hyperbolic_distance(w, y), twist_angle(w, y)
+        moved = ads_kernel_series_detail(0.4, 1, d, 0.7 + twist).at_angle(4.1 + twist)
+        assert moved == ads_kernel_series_detail(0.4, 1, d, 4.1 + twist)
 
     def test_pinned_count_beyond_one_block(self):
         w, y = pair_at(0.5)
-        detail = ads_kernel_series_detail(
-            AdsKernelQuery(0.02, 1, w, y, 0.3), SeriesConfig(k_max_override=300)
-        )
+        detail = ads_kernel_series_detail(0.02, 1, 0.5, 0.3, SeriesConfig(k_max_override=300))
         assert detail.modes_used == 300 and len(detail.damped_modes) == 301
         assert detail.value.real == pytest.approx(
             ads_kernel_series(AdsKernelQuery(0.02, 1, w, y, 0.3), SeriesConfig(eps_tail=1e-12)).real,
@@ -357,10 +348,7 @@ class TestAdsSeries:
         )
 
     def test_mode_pin_override(self):
-        w, y = pair_at(0.5)
-        detail = ads_kernel_series_detail(
-            AdsKernelQuery(1.0, 1, w, y, 0.2), SeriesConfig(k_max_override=5)
-        )
+        detail = ads_kernel_series_detail(1.0, 1, 0.5, 0.2, SeriesConfig(k_max_override=5))
         assert detail.modes_used == 5
 
     def test_mode_cap_raises_with_partial_value(self):
@@ -375,10 +363,8 @@ class TestAdsSeries:
         assert "256" in str(err) or str(MAX_FIBER_MODES) in str(err)
 
     def test_tail_estimate_brackets_refinement(self):
-        w, y = pair_at(0.6)
-        q = AdsKernelQuery(1.2, 1, w, y, 0.4)
-        coarse = ads_kernel_series_detail(q, SeriesConfig(eps_tail=1e-6))
-        fine = ads_kernel_series_detail(q, SeriesConfig(eps_tail=1e-13))
+        coarse = ads_kernel_series_detail(1.2, 1, 0.6, 0.4, SeriesConfig(eps_tail=1e-6))
+        fine = ads_kernel_series_detail(1.2, 1, 0.6, 0.4, SeriesConfig(eps_tail=1e-13))
         assert abs(coarse.value - fine.value) <= 10.0 * coarse.tail_estimate + 1e-15
 
     @pytest.mark.parametrize(
@@ -391,12 +377,28 @@ class TestAdsSeries:
         w, y = BallPoint(w), BallPoint(y)
         n, theta = w.n, 0.9
         query = AdsKernelQuery(0.8, n, w, y, theta)
-        assert query.theta_eff == theta + twist_angle(w, y)
-        u = point_at_distance(hyperbolic_distance(w, y), n)
-        plain = AdsKernelQuery(0.8, n, u, BallPoint.origin(n), query.theta_eff)
+        d, theta_eff = hyperbolic_distance(w, y), theta + twist_angle(w, y)
+        assert ads_kernel_series(query) == ads_kernel_series_detail(0.8, n, d, theta_eff).value
+        u = point_at_distance(d, n)
+        plain = AdsKernelQuery(0.8, n, u, BallPoint.origin(n), theta_eff)
         a = ads_kernel_series(query)
         b = ads_kernel_series(plain)
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_angle_is_used_as_given(self):
+        # no folding into [0, 2 pi): cos is even, so the reflection is exact
+        a = ads_kernel_series_detail(1.0, 1, 0.4, 1.1)
+        assert a == ads_kernel_series_detail(1.0, 1, 0.4, -1.1)
+
+    @pytest.mark.parametrize(
+        "t, n, d, theta",
+        [(0.0, 1, 0.5, 0.3), (1.0, 0, 0.5, 0.3), (1.0, 1, -0.1, 0.3), (1.0, 1, 700.0, 0.3),
+         (1.0, 1, math.nan, 0.3), (1.0, 1, 0.5, math.nan), (1.0, 1, 0.5, math.inf)],
+    )
+    def test_both_routes_reject_the_same_arguments(self, t, n, d, theta):
+        for route in (ads_kernel_series_detail, ads_kernel_integral):
+            with pytest.raises(ValueError):
+                route(t, n, d, theta)
 
     def test_query_theta_coercion(self):
         w, y = pair_at(0.5)

@@ -207,6 +207,22 @@ class TestEvaluation:
             for xi, oi in zip(arr.ravel(), out.ravel()):
                 assert float(oi) == kernel(t, n, float(xi))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.integers(min_value=1, max_value=12), st.floats(0.02, 5.0), st.data())
+    def test_array_gives_every_point_its_scalar_bits(self, n, t, data):
+        # eval-hyperbolic hands each (t, n) group's x column to one call; small-x,
+        # regular and dead (past sinh overflow) points mix in any order
+        thr = small_x_threshold(n)
+        zone = st.one_of(
+            st.floats(0.0, thr, exclude_max=True),
+            st.floats(thr, 40.0),
+            st.floats(710.0, 1e300),
+        )
+        xs = data.draw(st.lists(zone, min_size=1, max_size=16))
+        for kernel in (hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled):
+            out = kernel(t, n, np.array(xs))
+            assert out.tolist() == [kernel(t, n, x) for x in xs]
+
     @pytest.mark.parametrize("kernel", [hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
     def test_bad_entry_anywhere_rejected(self, kernel, bad):

@@ -115,6 +115,19 @@ class TestSemigroup:
         assert b.max_rel_residual <= 1e-3
 
 
+    @pytest.mark.parametrize("t, s, r", [(2.0, 2.0, 0.4), (1.9, 0.1, 0.6)])
+    def test_longest_times_stay_inside_the_disc(self, t, s, r):
+        # past rho ~ 19 tanh rho rounds to 1 and the nodes land on the boundary
+        report = check_semigroup_k0(t, s, point_at_distance(math.atanh(r)))
+        assert report.max_rel_residual <= 1e-12
+        assert "rho_max = 16.000" in report.grid_spec
+
+    @pytest.mark.parametrize("t, s", [(2.5, 0.5), (0.5, 2.5)])
+    def test_times_past_two_rejected(self, t, s):
+        with pytest.raises(ValueError, match="t, s <= 2"):
+            check_semigroup_k0(t, s, point_at_distance(0.4))
+
+
 class TestNormalization:
     @pytest.mark.parametrize("t,n,tol", [(1.0, 1, 1e-6), (0.25, 1, 1e-6), (1.0, 2, 1e-5)])
     def test_unit_mass(self, t, n, tol):
