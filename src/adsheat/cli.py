@@ -15,9 +15,11 @@ multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
 emitted in grid order and repeated runs are byte-identical.  Eval rows that
 differ only in the innermost column (x, d, theta) form one group: one q_t
-call, one pairing, one quadrature per route, so a quadrature row's last
-digits can depend on its group; the ``--max-nodes`` budget holds per
-integral, that is per group, and a group that fails is retried row by row.
+call, one quadrature per route, so a quadrature row's last digits can depend
+on its group; the ``--max-nodes`` budget holds per integral, that is per
+group, and a group that fails is retried row by row.  A ``--d`` row is
+evaluated at exactly its d (0 <= d < 700) with no twist; only a ``--w/--y``
+pair is paired, once per group, and its rows print the pair's distance.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
@@ -45,7 +47,6 @@ from .geometry import (
     BallPoint,
     FiberAngle,
     bergman_pairing,
-    point_at_distance,
     require_int,
     twist_phase,
 )
@@ -288,6 +289,7 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
         if key not in explicit:
             setattr(args, key, params[key].convert(raw))
 
+    given = {k for k in params if getattr(args, k) is not None}  # by flag or config
     for key, param in params.items():
         value = getattr(args, key)
         if value is None:
@@ -303,6 +305,8 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
         if name in grids:
             raise UsageError(f"duplicate grid for {name!r}")
         grids[name] = values
+    if given & {"w", "y"} and "d" in given | grids.keys():
+        raise UsageError("--w/--y fix the geometry; they conflict with --d and a grid over d")
 
     return {
         name: grids.get(name, [getattr(args, name)]) for name in _GRID_ORDER[command]
@@ -334,12 +338,8 @@ def _out_stream(path: str | None) -> Iterator[TextIO]:
 def _fmt_cell(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):  # np.float64 included
+        return format(value, ".17g")
     return str(value)
 
 
@@ -394,30 +394,22 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     )
 
 
-def _paired_points(
-    args: argparse.Namespace, n: int, d_values: list[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pairing of the point pairs of a row group.
+def _paired_points(args: argparse.Namespace, n: int, d: Any) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and twists of a row group, shaped like its ``d``.
 
-    Each pair comes from --w/--y, or lies at its d along axis 1.  Returns
-    the distance each row reports (d as given, or the pair's), and the
-    pairing's distances and twists.
+    Without --w/--y each row's d is its distance, with twist 0.  Otherwise
+    the one --w/--y pair is paired once, and its distance and twist serve
+    every row (d is then not given).
     """
-    w_raw, y_raw = args.w, args.y
-    if w_raw is None and y_raw is None:
-        pairs = [(point_at_distance(d, n), BallPoint.origin(n)) for d in d_values]
-    else:
-        w = BallPoint(w_raw) if w_raw is not None else BallPoint.origin(len(y_raw))
-        y = BallPoint(y_raw) if y_raw is not None else BallPoint.origin(w.n)
-        if w.n != n or y.n != n:
-            raise UsageError(
-                f"--w/--y have dimension {w.n}/{y.n} but n={n}; pass matching --n"
-            )
-        pairs = [(w, y)] * len(d_values)
-    coords = [np.array(c) for c in zip(*(w.coords + y.coords for w, y in pairs))]
-    dists, twists = bergman_pairing(coords[:n], coords[n:])
-    shown = np.array(d_values) if w_raw is None and y_raw is None else dists
-    return shown, dists, twists
+    if args.w is None and args.y is None:
+        d = np.asarray(d, dtype=float)
+        return d, np.zeros_like(d)
+    w = BallPoint(args.w) if args.w is not None else BallPoint.origin(len(args.y))
+    y = BallPoint(args.y) if args.y is not None else BallPoint.origin(w.n)
+    if w.n != n or y.n != n:
+        raise UsageError(f"--w/--y have dimension {w.n}/{y.n} but n={n}; pass matching --n")
+    dist, twist = bergman_pairing(w.coords, y.coords)
+    return np.full(np.shape(d), dist), np.full(np.shape(d), twist)
 
 
 def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
@@ -433,7 +425,7 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n, kappa = group[0]["t"], group[0]["n"], group[0]["kappa"]
-        dists, _, twists = _paired_points(args, n, [p["d"] for p in group])  # d as shown
+        dists, twists = _paired_points(args, n, [p["d"] for p in group])
         phases = twist_phase(twists, kappa)
         substituted = maass_radial_profile(t, n, kappa, dists, config=quad)
         far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
@@ -464,9 +456,9 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n = group[0]["t"], group[0]["n"]
-        (shown_d,), (dist,), (twist,) = _paired_points(args, n, [group[0]["d"]])
+        dist, twist = map(float, _paired_points(args, n, group[0]["d"]))
         fibers = [FiberAngle(p["theta"]).theta for p in group]
-        angles = [f + float(twist) for f in fibers]
+        angles = [f + twist for f in fibers]
         detail = ads_kernel_series_detail(t, n, dist, angles[0], series_cfg, quad)
         integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
 
@@ -475,7 +467,7 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
             s = series / TWO_PI if report_theorem else series
             return {
                 **p,
-                "d": float(shown_d),
+                "d": dist,
                 "theta": fiber,
                 "re(s)": s.real,
                 "im(s)": s.imag,
@@ -499,14 +491,13 @@ def _handle_eval(args: argparse.Namespace) -> int:
     """Merge options, build the grid, evaluate rows in order, emit them.
 
     Rows differing only in the innermost column (x, d or theta) are evaluated
-    as one group.  A row that does not converge on its own is left out and
-    listed on stderr; the exit code is then 3.
+    as one group, each at the d it prints: a --d row at its d as given, a
+    --w/--y row at the distance of the pair, paired once per group.  A row
+    that does not converge on its own is left out and listed on stderr; the
+    exit code is then 3.
     """
     command = args.command
     value_lists = _merge_options(args, command)
-    points_given = getattr(args, "w", None) is not None or getattr(args, "y", None) is not None
-    if points_given and len(value_lists["d"]) > 1:
-        raise UsageError("--w/--y fix the geometry; they conflict with a grid over d")
     group_rows = _ROW_BUILDERS[command](args)
     params_list = _grid_product(value_lists)
     shared = _GRID_ORDER[command][:-1]

@@ -8,10 +8,19 @@ import jsonschema
 import numpy as np
 import pytest
 
-from adsheat import cli, kernels
+from adsheat import cli, geometry, kernels
 from adsheat.cli import build_parser, main
 from adsheat.geometry import BallPoint, point_at_distance
-from adsheat.kernels import MaassKernelQuery, maass_direct_profile, maass_kernel_direct
+from adsheat.kernels import (
+    DIRECT_ROUTE_MIN_DISTANCE,
+    MaassKernelQuery,
+    SeriesConfig,
+    ads_kernel_integral,
+    ads_kernel_series_detail,
+    maass_direct_profile,
+    maass_kernel_direct,
+    maass_radial_profile,
+)
 from adsheat.quadrature import ConvergenceError, QuadratureConfig
 from adsheat.radial_heat import hyperbolic_heat_kernel
 
@@ -22,6 +31,97 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """Record each pairing, ``point_at_distance`` and ``BallPoint`` made anywhere."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for module in (cli, geometry, kernels):
+        for name in ("bergman_pairing", "point_at_distance"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(BallPoint, "__post_init__", spy("BallPoint", BallPoint.__post_init__))
+    return calls
+
+
+# no ball point stands for these d: 1.5e-8 comes back as 0.0 through tanh and
+# acosh, and past d = 19.06 tanh^2 d rounds to 1
+EXACT_DISTANCES = ["0", "1.5e-8", "0.5", "2.5", "25"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", EXACT_DISTANCES)
+class TestDistanceRows:
+    """A --d row is the library's value at exactly d, by every route it reports."""
+
+    def test_maass_row_is_both_profiles_at_d(self, capsys, n, d):
+        argv = ["eval-maass", "--t", "0.8", "--n", str(n), "--kappa", "0.5", "--d", d]
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        cells = out.splitlines()[1].split(",")
+        assert float(cells[3]) == float(d)
+        substituted = maass_radial_profile(0.8, n, 0.5, [float(d)], QuadratureConfig())[0]
+        far = float(d) >= DIRECT_ROUTE_MIN_DISTANCE
+        direct = maass_direct_profile(0.8, n, 0.5, [float(d)], QuadratureConfig())[0] if far else substituted
+        assert (float(cells[4]), float(cells[5])) == (direct, 0.0)
+        assert cells[6] == ("direct" if far else "substituted")
+        assert float(cells[7]) == abs(direct - substituted)
+
+    def test_ads_row_is_both_routes_at_d(self, capsys, n, d):
+        argv = ["eval-ads", "--t", "0.8", "--n", str(n), "--d", d, "--theta", "1.3"]
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        cells = out.splitlines()[1].split(",")
+        assert float(cells[2]) == float(d)
+        series = ads_kernel_series_detail(0.8, n, float(d), 1.3, SeriesConfig(), QuadratureConfig())
+        integral = ads_kernel_integral(0.8, n, float(d), [1.3], SeriesConfig(), QuadratureConfig())[0]
+        assert (float(cells[4]), float(cells[5])) == (series.value.real, series.value.imag)
+        assert int(cells[6]) == 2 * series.modes_used + 1
+        assert float(cells[7]) == abs(integral - series.value / TWO_PI)
+
+
+class TestDistanceInput:
+    @pytest.mark.parametrize("command", ["eval-maass", "eval-ads"])
+    @pytest.mark.parametrize("d", ["700", "-0.5"])
+    def test_distance_outside_kernel_range_rejected(self, capsys, command, d):
+        rc, out, err = run_cli(capsys, [command, "--d", d])
+        assert rc == 2
+        assert out == ""
+        assert "distances must be finite, >= 0 and < 700" in err
+
+    @pytest.mark.parametrize("command", ["eval-maass", "eval-ads"])
+    @pytest.mark.parametrize("source", ["flag", "config", "one-value grid"])
+    def test_points_conflict_with_any_given_distance(self, capsys, tmp_path, command, source):
+        # the pair fixes d, so any d given beside it is a conflict
+        argv = [command, "--w", "0.3"]
+        if source == "flag":
+            argv += ["--d", "0.7"]
+        elif source == "config":
+            (tmp_path / "run.cfg").write_text("d = 0.7\n", encoding="utf-8")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            argv += ["--grid", "d=0.7"]
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert "--w/--y fix the geometry" in err
+
+    @pytest.mark.parametrize("command", ["eval-maass", "eval-ads"])
+    def test_points_from_config_without_distance(self, capsys, tmp_path, command):
+        # without a d, --w/--y run as before
+        (tmp_path / "run.cfg").write_text("w = 0.3\n", encoding="utf-8")
+        rc, out, _ = run_cli(capsys, [command, "--config", str(tmp_path / "run.cfg")])
+        assert rc == 0
+        assert len(out.splitlines()) == 2
 
 
 class TestEvalHyperbolic:
@@ -242,6 +342,18 @@ class TestEvalMaass:
             v, v_alone = complex(float(cells[4]), float(cells[5])), complex(float(alone[4]), float(alone[5]))
             assert abs(v - v_alone) <= max(1e-12, 1e-10 * abs(v_alone))
 
+    @pytest.mark.parametrize(
+        "geometry, expected",
+        [(["--grid", "d=0,0.5,25"], []), (["--w", "0.3+0.1j", "--y", "0.2"], ["BallPoint"] * 2 + ["bergman_pairing"])],
+        ids=["axis", "twisted"],
+    )
+    def test_each_group_is_paired_once(self, capsys, geometry_calls, geometry, expected):
+        # a --d group goes straight to the profiles; a --w/--y group pairs once
+        rc, out, _ = run_cli(capsys, ["eval-maass", "--grid", "kappa=0,0.5"] + geometry)
+        assert rc == 0
+        assert len(out.splitlines()) == (7 if geometry[0] == "--grid" else 3)
+        assert geometry_calls == expected * 2
+
     def test_one_profile_call_per_route_and_group(self, capsys, monkeypatch):
         calls = []
 
@@ -314,8 +426,8 @@ class TestEvalAds:
         assert v == pytest.approx(s / TWO_PI, rel=1e-15)
 
     def test_both_routes_take_the_distance_it_prints(self, capsys, monkeypatch):
-        # the series and the integral each get the distance of the ball points that
-        # stand for d; through acosh(sqrt(cosh^2)) 1.5e-8 came back as 0.0
+        # the series and the integral each get d itself, not the distance of
+        # ball points standing for it
         seen = []
 
         def spy(name):
@@ -332,30 +444,20 @@ class TestEvalAds:
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "1", "--d", "1.5e-8", "--theta", "0.3"])
         assert rc == 0
         assert float(out.splitlines()[1].split(",")[2]) == 1.5e-8
-        assert len(seen) == 2 and all(abs(d - 1.5e-8) <= 4.0 * math.ulp(1.5e-8) for d in seen)
+        assert seen == [1.5e-8, 1.5e-8]
 
     @pytest.mark.parametrize(
-        "geometry", [["--d", "0.5"], ["--w", "0.3+0.1j", "--y", "0.2j"]], ids=["axis", "twisted"]
+        "geometry, expected",
+        [(["--d", "0.5"], []), (["--w", "0.3+0.1j", "--y", "0.2j"], ["BallPoint"] * 2 + ["bergman_pairing"])],
+        ids=["axis", "twisted"],
     )
-    def test_each_group_is_paired_once(self, capsys, monkeypatch, geometry):
-        calls = []
-
-        def spy(module):
-            real = module.bergman_pairing
-
-            def wrapper(w, y):
-                calls.append(module.__name__)
-                return real(w, y)
-
-            return wrapper
-
-        for module in (cli, kernels):
-            monkeypatch.setattr(module, "bergman_pairing", spy(module))
+    def test_each_group_is_paired_once(self, capsys, geometry_calls, geometry, expected):
+        # a --d group goes straight to both routes; a --w/--y group pairs once
         argv = ["eval-ads", "--grid", "t=0.8,1", "--grid", "theta=0,1,2"] + geometry
         rc, out, _ = run_cli(capsys, argv)
         assert rc == 0
         assert len(out.splitlines()) == 7
-        assert calls == ["adsheat.cli", "adsheat.cli"]
+        assert geometry_calls == expected * 2
 
     def test_route_discrepancy_small(self, capsys):
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "0.8", "--d", "0.5"])
