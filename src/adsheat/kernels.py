@@ -414,7 +414,9 @@ def ads_kernel_series_detail(
     floor for v_0 = 0 (t only: short at large t, where high modes overflow
     cosh u), then at twice the last end.  Damped modes decay like
     e^{-2 n t k}, so this always terminates; MAX_FIBER_MODES is a safety
-    stop that raises ConvergenceError.  ``k_max_override`` pins the count.
+    stop that raises ConvergenceError, before any quadrature when the floor
+    alone exceeds it (t below about 3.2e-4 at eps_tail 1e-9).
+    ``k_max_override`` pins the count.
 
     Accuracy is absolute, about ``eps_tail``: a kernel value below that can
     come out negative (t = 0.2, d = 0.5, theta = 3.14159 gives -2.7e-10 with
@@ -427,8 +429,15 @@ def ads_kernel_series_detail(
     eps, pinned = s_cfg.eps_tail, s_cfg.k_max_override is not None
     k_cap = s_cfg.k_max_override if pinned else MAX_FIBER_MODES
 
+    floor = _baseline_mode_count(t, 0.0, eps)  # grows with |v_0|: no sum stops below it
+    if not pinned and floor > k_cap:
+        raise ConvergenceError(
+            f"fiber-mode series cannot converge: its floor of {floor} modes at t={t!r}, "
+            f"eps_tail {eps:.3e} exceeds the cap of {MAX_FIBER_MODES} modes"
+        )
+
     modes: list[float] = []
-    hi = k_cap if pinned else min(k_cap, _baseline_mode_count(t, 0.0, eps))
+    hi = k_cap if pinned else floor
     while True:
         lo = len(modes)
         hi = min(hi, lo + MAX_FIBER_MODES)  # bounds the (modes, nodes) arrays

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adsheat import kernels
 from adsheat.geometry import (
     BallPoint,
     FiberAngle,
@@ -361,6 +362,16 @@ class TestAdsSeries:
         assert err.value is not None
         assert err.error_estimate is not None
         assert "256" in str(err) or str(MAX_FIBER_MODES) in str(err)
+
+    def test_floor_past_the_cap_raises_before_any_quadrature(self, monkeypatch):
+        # at t = 1e-6 the floor alone asks for 4555 modes; the series used to
+        # sum 257 of them and then blame the last damped pair
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(kernels, "_cosh_mode_integral", no_quadrature)
+        with pytest.raises(ConvergenceError, match=rf"floor of 4555 modes.* cap of {MAX_FIBER_MODES}"):
+            ads_kernel_series_detail(1e-6, 1, 0.1, 0.0)
 
     def test_tail_estimate_brackets_refinement(self):
         coarse = ads_kernel_series_detail(1.2, 1, 0.6, 0.4, SeriesConfig(eps_tail=1e-6))

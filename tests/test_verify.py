@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from adsheat import verify
-from adsheat.geometry import point_at_distance
+from adsheat.geometry import BallPoint, point_at_distance
 from adsheat.kernels import maass_radial_profile
 from adsheat.verify import (
     CheckOutcome,
@@ -115,6 +116,30 @@ class TestSemigroup:
         assert b.max_rel_residual <= 1e-3
 
 
+    @pytest.mark.parametrize(
+        "z", [0.4j, 0.4 * cmath.exp(0.7j), -0.4, 0.6 * cmath.exp(2.1j)], ids=str
+    )
+    def test_complex_base_point(self, z):
+        report = check_semigroup_k0(0.3, 0.7, BallPoint((z,)))
+        assert report.max_rel_residual <= 1e-12
+
+    @pytest.mark.parametrize("z, most", [(0.0, 999), (0.4, 12800)])
+    def test_mirrored_half_profiled_once(self, monkeypatch, z, most):
+        # 200 x 128 polar nodes: node j and node 127 - j sit at one distance
+        # from z, and at z = 0 each ring of nodes shares a handful of them
+        calls = []
+
+        def spy(t, n, kappa, d_values):
+            d = np.asarray(d_values)
+            assert np.unique(d).size == d.size
+            calls.append((t, d.size))
+            return maass_radial_profile(t, n, kappa, d_values)
+
+        monkeypatch.setattr(verify, "maass_radial_profile", spy)
+        check_semigroup_k0(0.3, 0.7, BallPoint((complex(z),)))
+        assert [t for t, _ in calls] == [0.3, 0.7, 1.0]
+        assert calls[1][1] <= most
+
     @pytest.mark.parametrize("t, s, r", [(2.0, 2.0, 0.4), (1.9, 0.1, 0.6)])
     def test_longest_times_stay_inside_the_disc(self, t, s, r):
         # past rho ~ 19 tanh rho rounds to 1 and the nodes land on the boundary
@@ -188,9 +213,9 @@ class TestMaassPde:
 
         monkeypatch.setattr(verify, "maass_radial_profile", spy)
         check_maass_pde(1.0, 0.5)
-        # 6889 lattice points at step 0.02, one call per time level
-        assert len(sizes) == 3
-        assert max(sizes) <= 3204
+        # one call per time level at step 0.02: the levels at t -/+ t_step on
+        # |w| <= 0.8, the level at t on the stencil's reach |w| <= 0.82
+        assert sizes == [2551, 2670, 2551]
 
     def test_config_echo_reports_grid(self):
         report = check_maass_pde(0.8, 0.5)
