@@ -34,15 +34,17 @@ of x).
 
 Numerical evaluation rewrites each term as
 ``coeff * t^-a * x^p * coth(x)^b * sinh(x)^-(e-b)`` with ``coth = 1/tanh``
-so nothing overflows at large x.  Near x = 0 individual terms diverge like
-x^(1 - 2n) while the (even, finite) sum cancels them, so direct summation
-drowns in rounding noise; below a per-order threshold the sum is instead
-interpolated in the even variable xi = x^2 through seven sample nodes
-placed just outside the noisy zone.  The node scale grows with n because
-the cancellation gets one power of x worse per order, while the degree-6
-interpolation error over the widened window stays negligible (the nearest
-singularity of the interpolated function sits at xi = -pi^2).  Masks split
-the points only when some x is below the threshold, has a sinh that
+so nothing overflows at large x.  Near x = 0 the terms diverge like
+x^(1 - 2n) while their sum P_n = M^n G / G (G the Gaussian) stays finite,
+so below a switch point P_n comes from an even series instead.  With
+xi = x^2 and S = sinh x / x = sum xi^k / (2k+1)!, M (G P) = G (P/2t -
+2 dP/dxi) / S, so Q_n = S^(2n) P_n obeys
+
+    Q_0 = 1,    Q_(n+1) = S Q_n / 2t - 2 S dQ_n/dxi + 4n Q_n dS/dxi.
+
+Q_n is entire, with coefficients >= 0 at every power of 1/t, so summing
+its terms adds no cancellation; P_n = Q_n / S^(2n).  Masks split the
+points only when some x is below the switch point, has a sinh that
 overflows or, unscaled, a Gaussian that underflows; otherwise the whole
 array is summed directly.
 """
@@ -65,27 +67,19 @@ GAUSS_EXP_CUTOFF = 700.0
 # sinh x overflows past this x; every term carries a net negative sinh power
 _SINH_FINITE_MAX = math.asinh(sys.float_info.max)
 
+# terms built of the even series in xi = x^2 (n = 12 keeps 52 of them)
+SERIES_TERMS = 64
+
 
 def small_x_threshold(n: int) -> float:
-    """Below this x the order-n term sum is evaluated by interpolation.
+    """Below this x the order-n kernel is summed from its even series in x^2.
 
-    At the first sample node (placed exactly at the threshold) the
-    cancellation noise of direct summation, which scales like
-    eps * x^(1 - 2n), must stay small next to the sum.  Accuracy still
-    falls with n: against a 60-digit mpmath oracle over t in [0.3, 3] and
-    x in [0, 3 * threshold], the worst relative errors found were 1.4e-15
-    (n = 1), 3.0e-11 (n = 2), 5.4e-10 (n = 3), 1.9e-8 (n = 4) and 5.9e-7
-    (n = 5).
+    Direct summation loses about eps * x^(1 - 2n) to cancellation near 0
+    (at n = 12 still ~2e-12 at x = 2); the series cancels nowhere.  The
+    switch is (n - 1) / 3; at n = 1 the sum is the single term
+    x / (2t sinh x) and switches at 1e-3.
     """
-    if n <= 1:
-        return 1e-3
-    if n == 2:
-        return 5e-3
-    return 0.05 * (n - 2)
-
-
-def _small_x_nodes(n: int) -> np.ndarray:
-    return small_x_threshold(n) * np.arange(1.0, 8.0)
+    return max((n - 1) / 3.0, 1e-3)
 
 
 @dataclass(frozen=True, order=True)
@@ -199,28 +193,42 @@ def _term_sum_values(n: int, t: float, x: np.ndarray) -> np.ndarray:
     return parts.sum(axis=1)
 
 
-def _interp_small_x(n: int, t: float, x: np.ndarray, scaled: bool) -> np.ndarray:
-    """Degree-6 interpolation in xi = x^2 through the seven sample nodes.
+@lru_cache(maxsize=None)
+def _series_coeffs(n: int) -> np.ndarray:
+    """Coefficients g[a, j] of Q_n = S^(2n) P_n = sum_a t^-a sum_j g[a, j] xi^j.
 
-    Individual terms blow up like x^(1-2n) at 0 while the (even) sum stays
-    finite, so direct summation loses all precision there; the sample nodes
-    are far enough out to be clean and close enough in that the polynomial
-    error in xi is negligible over [0, threshold].
+    Built in floats, one order at a time over SERIES_TERMS terms (the
+    derivative drops one top coefficient per order, far below the kept
+    ones), then cut after the last term above 2^-60 of its row's sum at the
+    switch point: all terms are >= 0, so the cut holds at every t and x below.
     """
-    nodes = _small_x_nodes(n)
-    vals = _term_sum_values(n, t, nodes)
-    if not scaled:
-        vals = vals * np.exp(-(nodes * nodes) / (4.0 * t))
-    xi_nodes = nodes * nodes
-    xi = x * x
-    out = np.zeros_like(x)
-    for j in range(len(nodes)):
-        lj = np.ones_like(x)
-        for i in range(len(nodes)):
-            if i != j:
-                lj *= (xi - xi_nodes[i]) / (xi_nodes[j] - xi_nodes[i])
-        out += vals[j] * lj
-    return out
+    k = np.arange(1, SERIES_TERMS)
+    s = np.array([1.0 / math.factorial(2 * i + 1) for i in range(SERIES_TERMS)])
+    ds = np.append(k * s[1:], 0.0)
+    q = np.eye(1, SERIES_TERMS)
+    for m in range(n):
+        dq = np.zeros_like(q)
+        dq[:, :-1] = k * q[:, 1:]
+        nxt = np.zeros((m + 2, SERIES_TERMS))
+        for a, (row, drow) in enumerate(zip(q, dq)):
+            nxt[a + 1] += np.convolve(s, row)[:SERIES_TERMS] / 2.0
+            nxt[a] += np.convolve(4 * m * ds, row)[:SERIES_TERMS]
+            nxt[a] -= 2.0 * np.convolve(s, drow)[:SERIES_TERMS]
+        q = nxt
+    terms = q * small_x_threshold(n) ** (2.0 * np.arange(SERIES_TERMS))
+    tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # tails[a, j]: sum of terms[a, j:]
+    return q[:, : np.count_nonzero(np.any(tails > 2.0**-60 * tails[:, :1], axis=0))]
+
+
+def _series_values(n: int, t: float, x: np.ndarray) -> np.ndarray:
+    """The order-n sum (without Gaussian or prefactor) as Q_n / S^(2n).
+
+    Each point's terms g_j xi^j are summed along its own row, as in
+    :func:`_term_sum_values`, so every point gets its scalar bits."""
+    g = ((t ** -np.arange(n + 1.0))[:, None] * _series_coeffs(n)).sum(axis=0)
+    q = (g * (x * x)[:, None] ** np.arange(g.size)).sum(axis=1)
+    s = np.divide(np.sinh(x), x, out=np.ones_like(x), where=x > 0.0)
+    return q / s ** (2 * n)
 
 
 def _validate_t(t: float) -> float:
@@ -232,8 +240,12 @@ def _validate_t(t: float) -> float:
 
 
 def _validate_n(n: int) -> int:
-    """Return ``n`` as an int, or raise ``ValueError`` unless an integer >= 1."""
-    return require_int(n, "dimension parameter n", 1)
+    """Return ``n`` as an int, or raise ``ValueError`` unless an integer in
+    [1, 12], the orders the accuracy tests cover."""
+    n = require_int(n, "dimension parameter n", 1)
+    if n > 12:
+        raise ValueError(f"dimension parameter n must be <= 12, got {n}")
+    return n
 
 
 def _eval_kernel(t: float, n: int, x, scaled: bool):
@@ -245,14 +257,7 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("distance x must be finite and >= 0")
 
-    pref = heat_prefactor(t, n)
-    threshold = small_x_threshold(n)
-
-    def regular_values(xr: np.ndarray) -> np.ndarray:
-        vals = _term_sum_values(n, t, xr)
-        if not scaled:
-            vals = vals * np.exp(-(xr * xr) / (4.0 * t))
-        return pref * vals
+    switch = small_x_threshold(n)
 
     # dead points are exact zeros, skipped instead of computing inf * 0: the
     # Gaussian underflows well before the exponent hits the cutoff, and past
@@ -264,16 +269,21 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
         with np.errstate(over="ignore"):  # an exponent past double range is dead too
             return ok & (y * y / (4.0 * t) <= GAUSS_EXP_CUTOFF)
 
-    if lo >= threshold and live(hi):
-        out = regular_values(flat)
+    all_live = live(hi)
+    if lo >= switch and all_live:
+        vals = _term_sum_values(n, t, flat)
     else:
-        out = np.zeros_like(flat)
-        small = flat < threshold
-        regular = ~small & live(flat)
-        if np.any(regular):
-            out[regular] = regular_values(flat[regular])
-        if np.any(small):
-            out[small] = pref * _interp_small_x(n, t, flat[small], scaled)
+        vals = np.zeros_like(flat)
+        small = flat < switch
+        regular = ~small if all_live else ~small & live(flat)
+        if hi >= switch:
+            vals[regular] = _term_sum_values(n, t, flat[regular])
+        if lo < switch:
+            vals[small] = _series_values(n, t, flat[small])
+    if not scaled:
+        with np.errstate(over="ignore"):  # dead points: 0 * exp(-inf)
+            vals = vals * np.exp(-(flat * flat) / (4.0 * t))
+    out = heat_prefactor(t, n) * vals
 
     if x_arr.ndim == 0:
         return float(out[0])
@@ -286,7 +296,12 @@ def hyperbolic_heat_kernel(t: float, n: int, x):
     Radial profile of ``exp(t Delta)``, Delta the full Laplace-Beltrami
     operator (spectral bottom -n^2, hence the factor ``e^{-n^2 t}``), normalized
     so that ``integral q_t dvol = 1``: q solves ``dq/dt = q'' + 2n coth(x) q'`` for x > 0.
-    ``x`` may be a scalar or array, entries >= 0.
+    ``x`` may be a scalar or array, entries >= 0; n runs from 1 to 12.
+
+    Worst relative error against a 60-digit reference over t in [0.05, 5]
+    and x in [0, 4]: 1e-14 for n <= 2, 5e-14 for n <= 6, 2.5e-13 for
+    n <= 10 and 6.5e-13 for n = 11, 12.  The Gaussian's own rounding,
+    ~eps x^2 / 4t, sets the n = 1, 2 figure and grows past x = 4.
     """
     return _eval_kernel(t, n, x, scaled=False)
 

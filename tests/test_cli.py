@@ -209,6 +209,14 @@ class TestEvalHyperbolic:
         assert rc == 2
         assert "conflicts" in err
 
+    @pytest.mark.parametrize("command", ["eval-hyperbolic", "eval-maass", "eval-ads"])
+    def test_order_past_12_exits_2(self, capsys, command):
+        # every kernel rests on q_t, which is stated and tested for n <= 12
+        rc, out, err = run_cli(capsys, [command, "--grid", "n=12,13"])
+        assert rc == 2
+        assert out == ""
+        assert "n must be <= 12, got 13" in err
+
     def test_domain_error_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, ["eval-hyperbolic", "--t", "-1"])
         assert rc == 2

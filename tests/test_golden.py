@@ -32,7 +32,7 @@ DATA = pathlib.Path(__file__).with_name("golden_cli.json")
 INVOCATIONS: list[tuple[list[str], str | None]] = [
     (["eval-hyperbolic", "--grid", "t=0.5,1,2", "--grid", "x=0.1:3:7", "--n", "2"], None),
     (["eval-hyperbolic", "--grid", "n=1,2,3", "--x", "0.7", "--format", "json"], None),
-    # x = 0 and points inside each order's small-x interpolation zone
+    # x = 0 and points below each order's small-x switch point
     (["eval-hyperbolic", "--t", "0.8", "--grid", "n=1,2,3", "--grid", "x=0,0.0005,0.003,0.02"], None),
     (["eval-hyperbolic", "--config", "{config}"], "t = 0.8\ngrid = x=0.5,1,2 ; n=1,2\n"),
     (["eval-maass", "--t", "1", "--kappa", "0.5", "--grid", "d=0,0.1,0.5,1.5"], None),

@@ -217,6 +217,13 @@ class TestRadialProfile:
 
 
 class TestDirectProfile:
+    @pytest.mark.parametrize("profile", [maass_radial_profile, maass_direct_profile])
+    def test_orders_past_12_rejected(self, profile):
+        # q_t, which both routes integrate, is stated and tested for n <= 12
+        assert profile(1.0, 12, 0.5, [0.5])[0] > 0.0
+        with pytest.raises(ValueError, match=r"n must be <= 12, got 13"):
+            profile(1.0, 13, 0.5, [0.5])
+
     def test_group_agrees_with_substituted_route(self):
         ds = np.array([0.05, 0.3, 0.8, 1.6, 3.0])
         direct = maass_direct_profile(1.0, 1, 1.0, ds)
@@ -404,7 +411,8 @@ class TestAdsSeries:
     @pytest.mark.parametrize(
         "t, n, d, theta",
         [(0.0, 1, 0.5, 0.3), (1.0, 0, 0.5, 0.3), (1.0, 1, -0.1, 0.3), (1.0, 1, 700.0, 0.3),
-         (1.0, 1, math.nan, 0.3), (1.0, 1, 0.5, math.nan), (1.0, 1, 0.5, math.inf)],
+         (1.0, 1, math.nan, 0.3), (1.0, 1, 0.5, math.nan), (1.0, 1, 0.5, math.inf),
+         (1.0, 13, 0.5, 0.3)],
     )
     def test_both_routes_reject_the_same_arguments(self, t, n, d, theta):
         for route in (ads_kernel_series_detail, ads_kernel_integral):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adsheat.radial_heat import (
+    SERIES_TERMS,
     GaussianTerm,
     GaussianTermSum,
     heat_prefactor,
@@ -16,10 +17,11 @@ from adsheat.radial_heat import (
     millson_term_sum,
     small_x_threshold,
 )
+from adsheat.radial_heat import _series_coeffs, _series_values, _term_sum_values
 
 # frozen oracles: exact-rational term lists evaluated at 50 digits (mpmath,
 # offline); independent of the double-precision path under test, including
-# the small-x interpolation region
+# the small-x series region
 ORACLE_Q = {
     (1.0, 1, 1.0): 5.4727407763734001907e-3,
     (0.5, 2, 2.0): 7.1402769171822423573e-5,
@@ -38,6 +40,35 @@ def h3_closed_form(t: float, x: float) -> float:
         * math.exp(-x * x / (4.0 * t))
         / ((4.0 * math.pi * t) ** 1.5 * math.sinh(x))
     )
+
+
+# the box of the accuracy contract: t in [0.05, 5], x in [0, 4]
+T_BOX = (0.05, 0.1, 0.3, 1.0, 2.0, 5.0)
+
+
+def box_bound(n: int) -> float:
+    """Worst relative error of q_t allowed on the box, by order."""
+    return 2e-14 if n <= 2 else 1e-13 if n <= 6 else 5e-13 if n <= 10 else 1e-12
+
+
+def exact_q(mpmath, n: int, x: float, ts) -> list:
+    """q_t(x) for each t in ts from the exact term sum, at 60 + 2n log10(1/x)
+    digits (the terms cancel like x^(1 - 2n)); x = 0 is taken at 1e-30."""
+    x = max(x, 1e-30)
+    with mpmath.workdps(60 + int(2 * n * math.log10(max(1.0, 1.0 / x)))):
+        xm = mpmath.mpf(x)
+        ch, sh = mpmath.cosh(xm), mpmath.sinh(xm)
+        by_tpow: dict[int, object] = {}
+        for term in millson_term_sum(n).terms:
+            c = mpmath.mpf(term.coeff.numerator) / term.coeff.denominator
+            value = c * xm**term.xpow * ch**term.coshpow / sh**term.sinhinvpow
+            by_tpow[term.tpow] = by_tpow.get(term.tpow, 0) + value
+        out = []
+        for t in map(mpmath.mpf, ts):
+            gauss = mpmath.exp(-n * n * t - xm * xm / (4 * t))
+            pref = gauss / ((2 * mpmath.pi) ** n * mpmath.sqrt(4 * mpmath.pi * t))
+            out.append(pref * mpmath.fsum(v / t**a for a, v in by_tpow.items()))
+        return out
 
 
 class TestTermAlgebra:
@@ -136,6 +167,21 @@ class TestFrozenOracles:
         )
 
 
+class TestExactReference:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_box(self, n):
+        # every 1/16 in [0, 4], the small points and the switch point, at six
+        # times; points where q underflows a double are skipped
+        mpmath = pytest.importorskip("mpmath")
+        xs = sorted({k / 16 for k in range(65)} | {1e-4, 1e-3, 5e-3, 0.02, small_x_threshold(n)})
+        worst = 0.0
+        for x in xs:
+            for t, ref in zip(T_BOX, exact_q(mpmath, n, x, T_BOX)):
+                if ref > 1e-300:
+                    worst = max(worst, float(abs(hyperbolic_heat_kernel(t, n, x) - ref) / ref))
+        assert worst <= box_bound(n)
+
+
 class TestSmallX:
     def test_limit_at_zero_n1(self):
         # x/sinh(x) -> 1: q(t, 1, 0) = e^{-t} / (2 (pi)^(1/2))^3 t^(3/2) ...
@@ -146,17 +192,29 @@ class TestSmallX:
             expected, rel=1e-10
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_path_continuity_at_threshold(self, n):
-        # interpolated branch (just below) and direct branch (just above)
-        # must agree far better than either is accurate
-        th = small_x_threshold(n)
-        below = hyperbolic_heat_kernel(1.0, n, th * 0.999999)
-        above = hyperbolic_heat_kernel(1.0, n, th * 1.000001)
-        assert below == pytest.approx(above, rel=1e-7)
+        # the series and the term sum, each without Gaussian or prefactor,
+        # agree at the same x = x_s(n) to within twice the box bound
+        x = np.array([small_x_threshold(n)])
+        for t in T_BOX:
+            series, direct = _series_values(n, t, x)[0], _term_sum_values(n, t, x)[0]
+            assert series == pytest.approx(direct, rel=2.0 * box_bound(n), abs=0.0)
 
     def test_threshold_grows_with_order(self):
-        assert small_x_threshold(1) < small_x_threshold(2) < small_x_threshold(3)
+        # n = 1 keeps the 1e-3 switch of its one-term sum; the rule then grows
+        assert small_x_threshold(1) == 1e-3
+        switches = [small_x_threshold(n) for n in range(1, 13)]
+        assert switches == sorted(switches)
+        assert small_x_threshold(12) == pytest.approx(11.0 / 3.0)
+
+    def test_series_fits_its_terms_and_has_no_negative_coefficient(self):
+        # the cut after 2^-60 ends inside SERIES_TERMS at every order, and a
+        # sum over coefficients >= 0 cannot cancel
+        for n in range(1, 13):
+            g = _series_coeffs(n)
+            assert g.shape[0] == n + 1 and g.shape[1] < SERIES_TERMS
+            assert np.all(g >= 0.0)
 
     def test_positive_at_origin_high_order(self):
         for n in (2, 3, 4):
@@ -200,7 +258,7 @@ class TestEvaluation:
         # unmasked one; every entry must equal the scalar call bit for bit
         kernel = hyperbolic_heat_kernel_scaled if scaled else hyperbolic_heat_kernel
         t, thr = 0.05, small_x_threshold(n)
-        xs = np.array([0.0, 0.3 * thr, 0.999 * thr, thr, 0.3, 1.0, 5.0, 11.0, 12.0, 40.0])
+        xs = np.array([0.0, 0.3 * thr, 0.999 * thr, thr, thr + 0.3, thr + 1.0, 5.0, 11.0, 12.0, 40.0])
         for arr in (xs, xs[3:8], xs[::-1].reshape(2, 5)):
             out = kernel(t, n, arr)
             assert out.shape == arr.shape
@@ -252,6 +310,9 @@ class TestEvaluation:
             hyperbolic_heat_kernel(1.0, 0, 1.0)
         with pytest.raises(ValueError):
             hyperbolic_heat_kernel(1.0, 1, -0.5)
+        # the orders the accuracy tests cover end at 12
+        with pytest.raises(ValueError, match=r"n must be <= 12, got 13"):
+            hyperbolic_heat_kernel_scaled(1.0, 13, 0.5)
 
     @given(
         st.integers(min_value=1, max_value=6),
