@@ -14,10 +14,11 @@ of ``key = value`` lines (explicit flags win); ``--grid name=lo:hi:count``
 multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
 emitted in grid order and repeated runs are byte-identical.  Eval rows that
-differ only in the innermost column (x, d, theta) form one group: one q_t
-call, one quadrature per route, so a quadrature row's last digits can depend
-on its group; the ``--max-nodes`` budget holds per integral, that is per
-group, and a group that fails is retried row by row.  A ``--d`` row is
+differ only in the innermost column (x, d, theta), or for eval-maass only in
+kappa and d, form one group: one q_t call, one quadrature per route, so a
+quadrature row's last digits can depend on its group; the ``--max-nodes``
+budget holds per integral, that is per group, and a group that fails is
+retried one kappa at a time (eval-maass), then row by row.  A ``--d`` row is
 evaluated at exactly its d (0 <= d < 700) with no twist; only a ``--w/--y``
 pair is paired, once per group, and its rows print the pair's distance.
 
@@ -424,27 +425,30 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]
     quad = _quad_config(args)
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        t, n, kappa = group[0]["t"], group[0]["n"], group[0]["kappa"]
-        dists, twists = _paired_points(args, n, [p["d"] for p in group])
-        phases = twist_phase(twists, kappa)
-        substituted = maass_radial_profile(t, n, kappa, dists, config=quad)
+        t, n = group[0]["t"], group[0]["n"]
+        kappas = {k: i for i, k in enumerate(dict.fromkeys(p["kappa"] for p in group))}
+        ds = {d: j for j, d in enumerate(dict.fromkeys(p["d"] for p in group))}
+        dists, twists = _paired_points(args, n, list(ds))
+        phases = [twist_phase(twists, kappa) for kappa in kappas]
+        substituted = maass_radial_profile(t, n, list(kappas), dists, config=quad)
         far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
         direct = substituted.copy()
-        direct[far] = maass_direct_profile(t, n, kappa, dists[far], config=quad)
+        direct[:, far] = maass_direct_profile(t, n, list(kappas), dists[far], config=quad)
 
-        def row(i: int) -> dict[str, Any]:
-            phase = complex(phases[i])
-            v = phase * float(direct[i])
+        def row(p: dict[str, Any]) -> dict[str, Any]:
+            i, j = kappas[p["kappa"]], ds[p["d"]]
+            phase = complex(phases[i][j])
+            v = phase * float(direct[i, j])
             return {
-                **group[i],
-                "d": float(dists[i]),
+                **p,
+                "d": float(dists[j]),
                 "re(v)": v.real,
                 "im(v)": v.imag,
-                "route": "direct" if far[i] else "substituted",
-                "route_discrepancy": abs(v - phase * float(substituted[i])),
+                "route": "direct" if far[j] else "substituted",
+                "route_discrepancy": abs(v - phase * float(substituted[i, j])),
             }
 
-        return [row(i) for i in range(len(group))]
+        return [row(p) for p in group]
 
     return rows
 
@@ -487,35 +491,57 @@ _ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[
 }
 
 
+# the columns a row group shares: all but the innermost, and for eval-maass
+# all but (kappa, d), whose rows share one quadrature per route
+_GROUP_COLUMNS = {
+    **{command: _GRID_ORDER[command][:-1] for command in _ROW_BUILDERS},
+    "eval-maass": _GRID_ORDER["eval-maass"][:-2],
+}
+
+
 def _handle_eval(args: argparse.Namespace) -> int:
     """Merge options, build the grid, evaluate rows in order, emit them.
 
-    Rows differing only in the innermost column (x, d or theta) are evaluated
-    as one group, each at the d it prints: a --d row at its d as given, a
-    --w/--y row at the distance of the pair, paired once per group.  A row
-    that does not converge on its own is left out and listed on stderr; the
-    exit code is then 3.
+    Rows differing only in the innermost column (x, d or theta; kappa and d
+    for eval-maass) are evaluated as one group, each at the d it prints: a
+    --d row at its d as given, a --w/--y row at the distance of the pair,
+    paired once per group.  A group that fails is retried one kappa at a
+    time (eval-maass), then row by row; a row that does not converge on its
+    own is left out and listed on stderr, and the exit code is then 3.
     """
     command = args.command
     value_lists = _merge_options(args, command)
     group_rows = _ROW_BUILDERS[command](args)
     params_list = _grid_product(value_lists)
-    shared = _GRID_ORDER[command][:-1]
+    columns = _GRID_ORDER[command]
     rows: list[dict[str, Any]] = []
     failures: list[tuple[dict[str, Any], ConvergenceError]] = []
 
-    def evaluate(group: list[dict[str, Any]]) -> None:
+    def split(group: list[dict[str, Any]], depth: int) -> list[list[dict[str, Any]]]:
+        """The runs of ``group`` that agree on the first ``depth`` columns."""
+        runs = itertools.groupby(group, key=lambda p: [p[c] for c in columns[:depth]])
+        return [list(same) for _, same in runs]
+
+    def evaluate(group: list[dict[str, Any]], depth: int) -> None:
         try:
             rows.extend(group_rows(group))
         except ConvergenceError as exc:
             if len(group) == 1:
                 failures.append((group[0], exc))
-            else:  # each row alone: only those that fail by themselves are left out
-                for p in group:
-                    evaluate([p])
+                return
+            # retry on the next column that splits the group (kappa, for eval-maass),
+            # else row by row: only the rows that fail by themselves are left out
+            for finer in range(depth + 1, len(columns)):
+                if len(parts := split(group, finer)) > 1:
+                    break
+            else:
+                finer, parts = len(columns), [[p] for p in group]
+            for part in parts:
+                evaluate(part, finer)
 
-    for _, same in itertools.groupby(params_list, key=lambda p: [p[c] for c in shared]):
-        evaluate(list(same))
+    depth = len(_GROUP_COLUMNS[command])
+    for group in split(params_list, depth):
+        evaluate(group, depth)
     _emit_rows(command, rows, args.format or "csv", args.output)
     if failures:
         _report_failures(failures, len(params_list))

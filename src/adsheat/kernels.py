@@ -5,7 +5,8 @@ Three kernels are evaluated here.
 * The spin-weighted (generalized Maass) heat kernel on the ball,
   ``v_{t,n,kappa}(w, y) = phase * V(d)`` (d the Bergman distance, phase
   from :func:`adsheat.geometry.phase_factor`), by two independent routes
-  to V, each batched over distances (``maass_kernel_*`` take one query):
+  to V, each batched over (kappa, d) rows, at most 512 a block
+  (``maass_kernel_*`` take one query):
 
   - :func:`maass_radial_profile`: ``2 int_0^inf q_t(x(u)) cosh(2 kappa u)
     du`` with x(u) = arccosh(cosh u * cosh d); smooth everywhere, including
@@ -40,10 +41,12 @@ combined analytically, so no inf * 0 can form; damped series modes fold the
 ``e^{-t k^2}`` factor into the same exponent, which makes the combined
 exponent globally <= 0 and mode evaluation stable for every k.  One adaptive
 vector Gauss-Kronrod quadrature serves each batch: the series integrates a
-block of modes, each Maass profile a block of distances and the integral
-route every (angle, shifted copy) pair of a theta block, each sharing its
-panels (and, for modes and copies, x(u) and q_t(x(u))); neither the modes
-nor the wing truncation depends on theta, so a theta sweep reuses them.
+block of modes at one distance, each Maass profile a block of (kappa, d)
+rows and the integral route every (angle, shifted copy) pair of a theta
+block, each sharing its panels and, across modes, weights and copies, x(u)
+and q_t(x(u)); the series and the substituted profile are one (mode x
+distance) integral.  Neither the modes nor the wing truncation depends on
+theta, so a theta sweep reuses them.
 """
 
 from __future__ import annotations
@@ -225,8 +228,10 @@ def _fiber_distance(cosh_u, cosh_d):
 def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0):
     """2 * int_0^u_max q_t(x(u)) cosh(m u) du * e^{-shift}, x(u) = arccosh(cosh u cosh d).
 
-    One row per distance of a 1-D ``d``, or per mode of a column ``m`` and
-    ``shift`` against one distance, all rows sharing one vector quadrature.  The
+    One row per (mode, distance) pair of a 1-D ``m`` (with a scalar ``shift`` or
+    one per mode) and a 1-D ``d``, all rows sharing one vector quadrature; the
+    (modes, distances) array of values comes back.  x(u) and q_t(x(u)) are
+    evaluated once per distance, the exponentials once per row.  The
     integrand is ``q_scaled(x) * (e^{mu-g} + e^{-mu-g})`` with ``g = x^2/4t +
     shift``, so the Gaussian of q_t and the growing cosh never meet as
     separate factors.  Damping (shift = t m^2) makes both exponents globally
@@ -234,48 +239,57 @@ def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0
     nothing overflows for any mode.  Each row is 0 past its own u = 700 - d,
     short of where cosh u cosh d overflows; the integrand is negligible there.
     """
-    d = np.asarray(d, dtype=float)[..., None]
+    m = np.asarray(m)
+    rows = (m.size, np.size(d))
+    col = m[:, None, None]
+    shift = np.reshape(shift, (-1, 1, 1)) if np.ndim(shift) else shift
+    d = np.asarray(d, dtype=float)[:, None]
     cosh_d, u_stop = np.cosh(d), _U_CAP - d
     u_max = min(_mode_u_max(t, int(np.max(m)), cfg.abs_tol), float(np.max(u_stop)))
     cut = float(np.min(u_stop)) < u_max
-    radial = np.ndim(m) == 0 and m == 0  # the two exponentials coincide
+    radial = m.tolist() == [0]  # one mode, 0: the two exponentials coincide
 
     def integrand(u: np.ndarray) -> np.ndarray:
         if cut:
             live, u = u <= u_stop, np.minimum(u, u_stop)
         x = _fiber_distance(np.cosh(u), cosh_d)
         g = x * x / (4.0 * t) + shift
-        modes = 2.0 * np.exp(-g) if radial else np.exp(m * u - g) + np.exp(-m * u - g)
+        modes = 2.0 * np.exp(-g) if radial else np.exp(col * u - g) + np.exp(-col * u - g)
         v = hyperbolic_heat_kernel_scaled(t, n, x) * modes
-        return np.where(live, v, 0.0) if cut else v
+        if cut:
+            v = np.where(live, v, 0.0)
+        return v.reshape(-1, x.shape[-1])
 
-    return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value
+    return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value.reshape(rows)
 
 
-def _direct_integral(t: float, n: int, m: int, d: np.ndarray, cfg: QuadratureConfig):
-    """2 * int_d^inf sinh(x) N(x) q_t(x) dx for a 1-D block of distances, x = d + r^2.
+def _direct_integral(t: float, n: int, m: np.ndarray, d: np.ndarray, cfg: QuadratureConfig):
+    """2 * int_d^inf sinh(x) N_m(x) q_t(x) dx per (mode, distance) row, x = d + r^2.
 
-    r_max = sqrt(u_max) does not depend on d, so a block shares one vector
-    quadrature.  dx = 2r dr is taken as 2 sqrt(x - d) of the rounded x, which
-    N's 1/sqrt(sinh(x - d)) cancels exactly; a node whose r^2 is below the
-    last bit of d moves up to x = nextafter(d).  The integrand turns over at
-    r ~ sqrt(2d), which the eight equal starting panels miss for small d, so
-    the one holding r_turn = 16 sqrt(2d) (smallest d) is split there when
-    r_turn < r_max.  Each row is 0 past its own x = 700, short of where
-    sinh x overflows.  Distances below 1e-8, where N degenerates, take the
-    substituted route's value.
+    Rows pair each mode of a 1-D ``m`` with each distance of a 1-D ``d`` as in
+    :func:`_cosh_mode_integral`.  r_max = sqrt(u_max) does not depend on d, so
+    all rows share one vector quadrature; x, q_t(x), the Jacobian and N's
+    denominator are evaluated once per distance, and one Chebyshev recurrence
+    gives every mode's numerator.  dx = 2r dr is taken as 2 sqrt(x - d) of
+    the rounded x, which N's 1/sqrt(sinh(x - d)) cancels exactly; a node
+    whose r^2 is below the last bit of d moves up to x = nextafter(d).  The
+    integrand turns over at r ~ sqrt(2d), which the eight equal starting
+    panels miss for small d, so the one holding r_turn = 16 sqrt(2d)
+    (smallest d) is split there when r_turn < r_max.  Each row is 0 past its
+    own x = 700, short of where sinh x overflows.  Distances below 1e-8,
+    where N degenerates, take the substituted route's value.
     """
-    near = d < DIRECT_ROUTE_MIN_DISTANCE
+    near, rows = d < DIRECT_ROUTE_MIN_DISTANCE, (m.size, d.size)
     if np.all(near):
         return _cosh_mode_integral(t, n, m, d, cfg)
     if np.any(near):
-        out = np.empty(d.shape)
-        out[near] = _cosh_mode_integral(t, n, m, d[near], cfg)
-        out[~near] = _direct_integral(t, n, m, d[~near], cfg)
+        out = np.empty(rows)
+        out[:, near] = _cosh_mode_integral(t, n, m, d[near], cfg)
+        out[:, ~near] = _direct_integral(t, n, m, d[~near], cfg)
         return out
     far = d[:, None]
     floor = np.nextafter(far, np.inf)
-    u_max = min(_mode_u_max(t, m, cfg.abs_tol), _U_CAP - float(np.min(far)))
+    u_max = min(_mode_u_max(t, int(m.max()), cfg.abs_tol), _U_CAP - float(np.min(far)))
     cut = float(np.max(far)) + u_max > _U_CAP
     r_max, r_turn = math.sqrt(u_max), 16.0 * math.sqrt(2.0 * float(np.min(far)))
 
@@ -285,10 +299,12 @@ def _direct_integral(t: float, n: int, m: int, d: np.ndarray, cfg: QuadratureCon
             live, x = x <= _U_CAP, np.minimum(x, _U_CAP)
         jacobian_sinh = 2.0 * np.sqrt(x - far) * np.sinh(x)
         v = jacobian_sinh * spectral_cosh_factor(x, far, m / 2) * hyperbolic_heat_kernel(t, n, x)
-        return np.where(live, v, 0.0) if cut else v
+        if cut:
+            v = np.where(live, v, 0.0)
+        return v.reshape(-1, x.shape[-1])
 
     points = sorted({*np.linspace(0.0, r_max, 9)[1:-1], r_turn}) if r_turn < r_max else ()
-    return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, r_max, cfg, points).value
+    return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, r_max, cfg, points).value.reshape(rows)
 
 
 def _validate_distances(d_values) -> np.ndarray:
@@ -299,40 +315,55 @@ def _validate_distances(d_values) -> np.ndarray:
     return d
 
 
-def _profile(integral, t: float, n: int, kappa: float, d_values, config):
-    """``integral(t, n, m, d, cfg)`` on validated distances, m = 2|kappa|.
+def _profile(integral, t: float, n: int, kappa, d_values, config):
+    """``integral(t, n, m, d, cfg)`` on validated weights and distances, m = 2|kappa|.
 
-    e^{t m^2} must fit in a double, and distances pass
-    :func:`_validate_distances`.  Blocks of ``_CALL_ROWS`` distances bound the
-    (rows, nodes) temporaries; a scalar distance gives a float.
+    ``kappa`` is a half-integer or a 1-D array of them, each with e^{t m^2}
+    inside double range; distances pass :func:`_validate_distances`.  Rows
+    pair each distinct m with each distance, in blocks of at most
+    ``_CALL_ROWS`` rows (a chunk of up to ``_CALL_ROWS`` distances, with as
+    many modes as fit) that bound the (rows, nodes) temporaries.  The result
+    has shape kappa.shape + d.shape; scalars in both give a float.
     """
     t, n = _validate_t(t), _validate_n(n)
-    m = int(round(2.0 * abs(require_half_integer(kappa))))
-    if t * m * m > _UNDAMPED_EXP_LIMIT:
-        raise ValueError(
-            f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
-            "exceeds double-precision range; only the damped fiber series "
-            "is computable this deep"
-        )
+    if np.ndim(kappa) > 1:
+        raise ValueError(f"kappa must be a half-integer or a 1-D array of them, not {np.ndim(kappa)}-D")
+    ms = []
+    for k in np.ravel(kappa).tolist():
+        m = int(round(2.0 * abs(require_half_integer(k))))
+        if t * m * m > _UNDAMPED_EXP_LIMIT:
+            raise ValueError(
+                f"kernel magnitude ~exp(t (2 kappa)^2) = exp({t * m * m:.3g}) "
+                "exceeds double-precision range; only the damped fiber series "
+                "is computable this deep"
+            )
+        ms.append(m)
+    modes, which = np.unique(np.array(ms, dtype=int), return_inverse=True)
     d = _validate_distances(d_values)
     cfg, flat = config or _PROFILE_QUAD, d.ravel()
-    blocks = [flat[lo : lo + _CALL_ROWS] for lo in range(0, flat.size, _CALL_ROWS)]
-    values = [integral(t, n, m, b, cfg) for b in blocks]
-    out = np.hstack([flat[:0], *values])
-    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
+    out = np.empty((modes.size, flat.size))
+    for lo in range(0, flat.size, _CALL_ROWS):
+        chunk = flat[lo : lo + _CALL_ROWS]
+        step = max(1, _CALL_ROWS // chunk.size)
+        for k in range(0, modes.size, step):
+            out[k : k + step, lo : lo + chunk.size] = integral(t, n, modes[k : k + step], chunk, cfg)
+    out = out[which].reshape(np.shape(kappa) + d.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def maass_radial_profile(
-    t: float, n: int, kappa: float, d_values, config: QuadratureConfig | None = None
+    t: float, n: int, kappa, d_values, config: QuadratureConfig | None = None
 ) -> np.ndarray:
-    """Radial factor V(d) of the kernel, batched over many distances.
+    """Radial factor V(d) of the kernel, batched over weights and distances.
 
     ``v_{t,n,kappa}(w,y) = phase_factor(w,y,kappa) * V(hyperbolic_distance
-    (w,y))``; this evaluates V = 2 int_0^inf q_t(x(u)) cosh(2 kappa u) du on
-    an array of distances (each < 700), one vector quadrature per block of
-    512 distances sharing its panels.  Each distance is held to max(abs_tol,
-    rel_tol |V|) of ``config`` (default 1e-13 and 1e-12) by its own
-    Gauss-Kronrod error estimate; a block that misses it raises
+    (w,y))``; this evaluates V = 2 int_0^inf q_t(x(u)) cosh(2 kappa u) du for
+    a half-integer ``kappa`` or a 1-D array of them, on an array of
+    distances (each < 700): shape kappa.shape + d.shape.  Every (kappa, d)
+    row of a block of at most 512 rows shares one vector quadrature, its
+    panels and, across weights, x(u) and q_t(x(u)).  Each row is held to
+    max(abs_tol, rel_tol |V|) of ``config`` (default 1e-13 and 1e-12) by its
+    own Gauss-Kronrod error estimate; a block that misses it raises
     :class:`ConvergenceError`.  The integral for d stops by u = 700 - d,
     whatever else shares its block.
     """
@@ -340,14 +371,16 @@ def maass_radial_profile(
 
 
 def maass_direct_profile(
-    t: float, n: int, kappa: float, d_values, config: QuadratureConfig | None = None
+    t: float, n: int, kappa, d_values, config: QuadratureConfig | None = None
 ) -> np.ndarray:
     """The same V(d) as :func:`maass_radial_profile`, by the direct route.
 
     V = 2 int_d^inf sinh(x) N(x) q_t(x) dx with N from
-    :func:`adsheat.special.spectral_cosh_factor`, with the same blocks,
-    tolerances and errors.  The integral for d stops by x = 700, whatever
-    else shares its block; below d = 1e-8 it gives the substituted value.
+    :func:`adsheat.special.spectral_cosh_factor`, with the same shapes,
+    (kappa, d) rows, blocks, tolerances and errors; across weights a block
+    shares x, q_t(x) and N's denominator.  The integral for d stops by
+    x = 700, whatever else shares its block; below d = 1e-8 it gives the
+    substituted value.
     """
     return _profile(_direct_integral, t, n, kappa, d_values, config)
 
@@ -441,9 +474,9 @@ def ads_kernel_series_detail(
     while True:
         lo = len(modes)
         hi = min(hi, lo + MAX_FIBER_MODES)  # bounds the (modes, nodes) arrays
-        ks = np.arange(lo, hi + 1)[:, None]
+        ks = np.arange(lo, hi + 1)
         with _labelled(f"fiber modes k={lo}..{hi}"):
-            modes += _cosh_mode_integral(t, n, ks, d, q_cfg, shift=t * ks * ks).tolist()
+            modes += _cosh_mode_integral(t, n, ks, [d], q_cfg, shift=t * ks * ks)[:, 0].tolist()
         k_base = _baseline_mode_count(t, modes[0], eps)
         small = (j for j in range(max(lo, k_base), hi + 1) if 2.0 * abs(modes[j]) < eps)
         k = hi if pinned else next(small, 0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -245,6 +246,14 @@ def adaptive_gauss_kronrod(
     return IntegrationResult(value, unwrap(total_err), _NODES_PER_PANEL * evaluated, len(heap))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [-1, 1], built once per order (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_rule(
     a: float, b: float, n_panels: int, order: int = 15
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +266,7 @@ def gauss_legendre_rule(
     """
     if n_panels < 1 or order < 2:
         raise ValueError("need n_panels >= 1 and order >= 2")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     edges = np.linspace(float(a), float(b), n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

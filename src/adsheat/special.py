@@ -27,12 +27,21 @@ import numpy as np
 from .geometry import require_half_integer, require_int
 
 
-def chebyshev_T(m: int, z):
+def chebyshev_T(m, z):
     """Chebyshev polynomial ``T_m(z)`` by the three-term recurrence.
 
     ``z`` may be a float or a numpy array; the return type matches.
     Satisfies ``T_m(cosh u) = cosh(m u)`` and ``T_m(cos u) = cos(m u)``.
+    A 1-D sequence of degrees ``m`` gives an array of shape (len(m),) +
+    z.shape: every degree from one recurrence up to the largest.
     """
+    if np.ndim(m):
+        degrees = [require_int(k, "polynomial degree", 0) for k in m]
+        z = np.asarray(z, dtype=float)
+        table = [np.ones_like(z), z]
+        while len(table) <= max(degrees, default=0):
+            table.append(2.0 * z * table[-1] - table[-2])
+        return np.array([table[k] for k in degrees]).reshape((len(degrees),) + z.shape)
     m = require_int(m, "polynomial degree", 0)
     if m == 0:
         if isinstance(z, np.ndarray):
@@ -65,7 +74,7 @@ def gauss_2f1_terminating(m: int, x_arg: float) -> float:
     return float(total)
 
 
-def spectral_cosh_factor(x, d, kappa: float):
+def spectral_cosh_factor(x, d, kappa):
     """Radial weight ``T_{2|kappa|}(cosh x / cosh d) / sqrt(cosh^2 x - cosh^2 d)``.
 
     Defined for ``x > d >= 0``.  ``x`` and ``d`` may be floats or numpy
@@ -77,18 +86,19 @@ def spectral_cosh_factor(x, d, kappa: float):
     difference for x near d.
 
     For ``kappa = 0`` this reduces to ``1 / sqrt(cosh^2 x - cosh^2 d)``; for
-    ``d = 0`` it is ``cosh(2|kappa| x) / sinh x``.
+    ``d = 0`` it is ``cosh(2|kappa| x) / sinh x``.  A 1-D array of weights
+    stacks one factor per weight on a new leading axis, all from one
+    Chebyshev recurrence over one denominator.
     """
-    kappa = require_half_integer(kappa)
+    m = [int(round(2.0 * abs(require_half_integer(k)))) for k in np.ravel(kappa).tolist()]
     d = np.asarray(d, dtype=float)
     if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) < np.inf):  # NaN fails too
         raise ValueError("offset distances must be finite and >= 0")
-    m = int(round(2.0 * abs(kappa)))
 
     x = np.asarray(x, dtype=float)
     if np.any(x <= d):
         raise ValueError("spectral_cosh_factor requires x > d everywhere")
 
-    numer = chebyshev_T(m, np.cosh(x) / np.cosh(d))
+    numer = chebyshev_T(m if np.ndim(kappa) else m[0], np.cosh(x) / np.cosh(d))
     out = numer / np.sqrt(np.sinh(x - d) * np.sinh(x + d))
     return float(out) if np.ndim(out) == 0 else out

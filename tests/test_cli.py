@@ -221,6 +221,13 @@ class TestEvalHyperbolic:
         rc, _, err = run_cli(capsys, ["eval-hyperbolic", "--t", "-1"])
         assert rc == 2
 
+    def test_time_below_floor_is_a_usage_error(self, capsys):
+        # printed nan with exit 0 while t^-12 overflowed inside q_t
+        rc, out, err = run_cli(capsys, ["eval-hyperbolic", "--t", "1e-27", "--n", "12", "--x", "0"])
+        assert rc == 2
+        assert out == ""
+        assert "leave double-precision range" in err
+
 
 class TestParserReuse:
     def test_parser_built_once_across_calls(self, capsys, monkeypatch):
@@ -356,11 +363,12 @@ class TestEvalMaass:
         ids=["axis", "twisted"],
     )
     def test_each_group_is_paired_once(self, capsys, geometry_calls, geometry, expected):
-        # a --d group goes straight to the profiles; a --w/--y group pairs once
+        # a --d group goes straight to the profiles; a --w/--y group pairs once,
+        # and every kappa of a (t, n) group is in one group
         rc, out, _ = run_cli(capsys, ["eval-maass", "--grid", "kappa=0,0.5"] + geometry)
         assert rc == 0
         assert len(out.splitlines()) == (7 if geometry[0] == "--grid" else 3)
-        assert geometry_calls == expected * 2
+        assert geometry_calls == expected
 
     def test_one_profile_call_per_route_and_group(self, capsys, monkeypatch):
         calls = []
@@ -369,23 +377,66 @@ class TestEvalMaass:
             real = getattr(cli, name)
 
             def wrapper(t, n, kappa, d_values, config=None):
-                calls.append((name, kappa, len(d_values)))
+                calls.append((name, n, list(kappa), len(d_values)))
                 return real(t, n, kappa, d_values, config=config)
 
             return wrapper
 
         for name in ("maass_radial_profile", "maass_direct_profile"):
             monkeypatch.setattr(cli, name, spy(name))
-        argv = ["eval-maass", "--grid", "kappa=0,0.5", "--grid", "d=0.2,0.4,0.8"]
+        argv = ["eval-maass", "--grid", "n=1,2", "--grid", "kappa=0,0.5", "--grid", "d=0.2,0.4,0.8"]
         rc, out, _ = run_cli(capsys, argv)
         assert rc == 0
-        assert len(out.splitlines()) == 7
+        assert len(out.splitlines()) == 13
         assert calls == [
-            ("maass_radial_profile", 0.0, 3),
-            ("maass_direct_profile", 0.0, 3),
-            ("maass_radial_profile", 0.5, 3),
-            ("maass_direct_profile", 0.5, 3),
+            ("maass_radial_profile", 1, [0.0, 0.5], 3),
+            ("maass_direct_profile", 1, [0.0, 0.5], 3),
+            ("maass_radial_profile", 2, [0.0, 0.5], 3),
+            ("maass_direct_profile", 2, [0.0, 0.5], 3),
         ]
+
+    def test_failed_group_leaves_other_weights_as_alone(self, capsys):
+        # kappa = 7 overflows the direct route; the group is retried one kappa at
+        # a time, so the kappa = 0.5 row is the one a lone --kappa 0.5 prints
+        base = ["eval-maass", "--t", "1", "--d", "0.5"]
+        rc, out, err = run_cli(capsys, base + ["--grid", "kappa=0.5,7"])
+        assert rc == 3
+        assert "kappa=7.0, d=0.5) did not converge" in err
+        assert "1 of 2 rows failed" in err
+        rc_alone, alone, _ = run_cli(capsys, base + ["--kappa", "0.5"])
+        assert rc_alone == 0
+        assert out == alone
+
+    def test_failed_group_is_retried_one_weight_at_a_time(self, capsys, monkeypatch):
+        # the (t, n) group fails on kappa = 7; each weight is then one group, so
+        # the others print what a run of that weight alone prints, and only
+        # kappa = 7 goes on row by row
+        calls = []
+        real = cli.maass_direct_profile
+
+        def spy(t, n, kappa, d_values, config=None):
+            calls.append((list(kappa), len(d_values)))
+            return real(t, n, kappa, d_values, config=config)
+
+        monkeypatch.setattr(cli, "maass_direct_profile", spy)
+        base = ["eval-maass", "--t", "1"]
+        rc, out, err = run_cli(capsys, base + ["--grid", "kappa=0.5,1,7", "--grid", "d=0.3,0.6"])
+        assert rc == 3
+        assert "2 of 6 rows failed" in err
+        assert calls == [([0.5, 1.0, 7.0], 2), ([0.5], 2), ([1.0], 2), ([7.0], 2), ([7.0], 1), ([7.0], 1)]
+        alone = []
+        for kappa in ("0.5", "1"):
+            rc_alone, text, _ = run_cli(capsys, base + ["--kappa", kappa, "--grid", "d=0.3,0.6"])
+            assert rc_alone == 0
+            alone += text.splitlines()[1:]
+        assert out.splitlines()[1:] == alone
+
+    def test_repeated_weights_keep_grid_order(self, capsys):
+        rc, out, _ = run_cli(capsys, ["eval-maass", "--grid", "kappa=0.5,0.5", "--grid", "d=0,0.3"])
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(r[2], r[3]) for r in rows] == [("0.5", "0"), ("0.5", "0.29999999999999999")] * 2
+        assert rows[:2] == rows[2:]
 
     def test_failure_at_one_distance_drops_only_its_row(self, capsys, monkeypatch):
         base = ["eval-maass", "--t", "0.8", "--kappa", "1"]

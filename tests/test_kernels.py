@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adsheat import kernels
 from adsheat.geometry import (
@@ -214,6 +216,84 @@ class TestRadialProfile:
         mixed = maass_radial_profile(1.0, 1, 0.0, [0.0, 0.5, d_big])
         assert mixed[2] == 0.0
         np.testing.assert_allclose(mixed[:2], alone, rtol=1e-12, atol=0.0)
+
+
+PROFILES = [maass_radial_profile, maass_direct_profile]
+
+
+@st.composite
+def weighted_profile_cases(draw):
+    """(t, n, weights, distances): 1-8 half-integer weights, repeats allowed,
+    with t (2 kappa)^2 <= 120, and distances that include 0 and 5e-9."""
+    t = draw(st.floats(min_value=0.1, max_value=2.0))
+    m_max = int(math.sqrt(120.0 / t))
+    ms = draw(st.lists(st.integers(-m_max, m_max), min_size=1, max_size=8))
+    ds = draw(st.lists(st.floats(min_value=0.0, max_value=4.0), max_size=4))
+    return t, draw(st.sampled_from([1, 2, 3])), [m / 2 for m in ms], [0.0, 5e-9, *ds]
+
+
+class TestWeightBatches:
+    """A 1-D array of weights gives one (kappa, d) row per pair, the rows of
+    a block sharing one quadrature per route."""
+
+    @given(weighted_profile_cases())
+    def test_each_row_meets_its_target_against_the_lone_weight(self, case):
+        t, n, kappas, ds = case
+        for profile in PROFILES:
+            batched = profile(t, n, kappas, ds)
+            assert batched.shape == (len(kappas), len(ds))
+            for kappa, row in zip(kappas, batched):
+                alone = profile(t, n, kappa, ds)
+                assert np.all(np.abs(row - alone) <= np.maximum(1e-13, 1e-12 * np.abs(alone)))
+            assert profile(t, n, kappas[:1], ds)[0].tolist() == profile(t, n, kappas[0], ds).tolist()
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("ds", [0.3, [0.0, 5e-9, 0.3, 2.5]])
+    def test_one_weight_array_is_the_scalar_call(self, profile, ds):
+        batched = profile(0.7, 2, [1.5], ds)
+        assert batched.shape == (1,) + np.shape(ds)
+        assert batched[0].tolist() == np.asarray(profile(0.7, 2, 1.5, ds)).tolist()
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_weights_of_one_mode_share_their_bits(self, profile):
+        # V depends on |kappa| only: -1 and 1 are one row, as are repeats
+        values = profile(0.5, 1, [1.0, -1.0, 0.5, 1.0], [0.2, 1.1])
+        assert values[0].tolist() == values[1].tolist() == values[3].tolist()
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_shapes(self, profile):
+        assert profile(1.0, 1, [0.0, 0.5], 0.4).shape == (2,)
+        assert profile(1.0, 1, [0.0, 0.5], np.full((2, 3), 0.4)).shape == (2, 2, 3)
+        assert profile(1.0, 1, [], [0.4, 0.5]).shape == (0, 2)
+        with pytest.raises(ValueError, match="1-D array"):
+            profile(1.0, 1, [[0.5]], 0.4)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_every_weight_is_checked(self, profile):
+        with pytest.raises(ValueError, match="half-integer"):
+            profile(1.0, 1, [0.5, 0.3], 0.4)
+        with pytest.raises(ValueError, match=r"exp\(t \(2 kappa\)\^2\) = exp\(729\)"):
+            profile(1.0, 1, [0.5, 13.5], 0.4)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize(
+        "weights, count, blocks",
+        [(4, 100, [400]), (4, 300, [300] * 4), (2, 600, [512, 512, 176])],
+    )
+    def test_a_block_holds_at_most_512_rows(self, profile, monkeypatch, weights, count, blocks):
+        # a chunk of up to 512 distances, with as many weights as fit beside it
+        rows = []
+        real = kernels.adaptive_gauss_kronrod
+
+        def spy(f, a, b, cfg, points=()):
+            result = real(f, a, b, cfg, points)
+            rows.append(np.size(result.value))
+            return result
+
+        monkeypatch.setattr(kernels, "adaptive_gauss_kronrod", spy)
+        values = profile(0.4, 1, np.arange(weights) / 2, np.linspace(0.01, 2.0, count))
+        assert values.shape == (weights, count)
+        assert rows == blocks
 
 
 class TestDirectProfile:

@@ -319,6 +319,14 @@ class TestFixedRule:
         _, weights = gauss_legendre_rule(-1.5, 4.0, 3, order=10)
         assert float(np.sum(weights)) == pytest.approx(5.5, rel=1e-14)
 
+    def test_base_rule_built_once_and_never_shared_out(self, monkeypatch):
+        first = gauss_legendre_rule(0.0, 1.0, 2, order=37)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)  # a rebuild would fail
+        first[0][:] = first[1][:] = -1.0  # the caller's arrays are its own
+        again = gauss_legendre_rule(0.0, 1.0, 2, order=37)
+        assert np.all(again[0] > 0.0) and np.all(again[1] > 0.0)
+        assert float(np.sum(again[1])) == pytest.approx(1.0, rel=1e-14)
+
 
 class TestConfig:
     def test_validation(self):

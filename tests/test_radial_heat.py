@@ -17,7 +17,7 @@ from adsheat.radial_heat import (
     millson_term_sum,
     small_x_threshold,
 )
-from adsheat.radial_heat import _series_coeffs, _series_values, _term_sum_values
+from adsheat.radial_heat import _T_FLOOR_BOUND, _series_coeffs, _series_values, _t_floor, _term_sum_values
 
 # frozen oracles: exact-rational term lists evaluated at 50 digits (mpmath,
 # offline); independent of the double-precision path under test, including
@@ -313,6 +313,28 @@ class TestEvaluation:
         # the orders the accuracy tests cover end at 12
         with pytest.raises(ValueError, match=r"n must be <= 12, got 13"):
             hyperbolic_heat_kernel_scaled(1.0, 13, 0.5)
+
+    @pytest.mark.parametrize("kernel", [hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled])
+    @pytest.mark.parametrize("t, x", [(1e-27, 0.0), (1e-26, 1.55e-12)])
+    def test_time_below_floor_rejected(self, kernel, t, x):
+        # t^-12 overflows here; the sum gave 0 * inf = NaN
+        with pytest.raises(ValueError, match=r"below 1.1e-23, where the order-12 kernel"):
+            kernel(t, 12, x)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_finite_at_the_time_floor(self, n):
+        floor = _t_floor(n)
+        xs = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-9, 710.4, 400)])
+        for kernel in (hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled):
+            assert np.isfinite(kernel(floor, n, xs)).all()
+            with pytest.raises(ValueError, match=r"double-precision range"):
+                kernel(floor * (1.0 - 1e-12), n, xs)
+
+    def test_time_floor_as_documented(self):
+        stated = {1: 4e-207, 2: 6.2e-125, 3: 1e-89, 6: 4e-49, 12: 1.1e-23}
+        for n, floor in stated.items():
+            assert _t_floor(n) == pytest.approx(floor, rel=0.05)
+        assert max(_t_floor(n) for n in range(1, 13)) < _T_FLOOR_BOUND
 
     @given(
         st.integers(min_value=1, max_value=6),

@@ -33,6 +33,15 @@ class TestChebyshev:
                     math.cosh(m * u), rel=1e-12
                 )
 
+    def test_degree_sequence_is_each_scalar_call(self):
+        z = np.linspace(-2.0, 2.0, 7).reshape(1, 7)
+        degrees = [3, 0, 7, 1, 3]
+        out = chebyshev_T(degrees, z)
+        assert out.shape == (5, 1, 7)
+        for m, row in zip(degrees, out):
+            assert row.tolist() == chebyshev_T(m, z).tolist()
+        assert chebyshev_T([], z).shape == (0, 1, 7)
+
     def test_array_input(self):
         z = np.linspace(-2.0, 2.0, 7)
         out = chebyshev_T(5, z)
@@ -82,6 +91,14 @@ class TestTerminating2F1:
 
 
 class TestSpectralCoshFactor:
+    def test_weight_array_is_each_scalar_call(self):
+        x, d = np.array([[0.7, 1.3, 4.0]]), np.array([[0.5]])
+        weights = [1.5, -0.5, 0.0]
+        out = spectral_cosh_factor(x, d, weights)
+        assert out.shape == (3, 1, 3)
+        for kappa, row in zip(weights, out):
+            assert row.tolist() == spectral_cosh_factor(x, d, kappa).tolist()
+
     def test_weight_zero_form(self):
         x, d = 1.4, 0.6
         expected = 1.0 / math.sqrt(math.sinh(x - d) * math.sinh(x + d))
