@@ -491,14 +491,6 @@ _ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[
 }
 
 
-# the columns a row group shares: all but the innermost, and for eval-maass
-# all but (kappa, d), whose rows share one quadrature per route
-_GROUP_COLUMNS = {
-    **{command: _GRID_ORDER[command][:-1] for command in _ROW_BUILDERS},
-    "eval-maass": _GRID_ORDER["eval-maass"][:-2],
-}
-
-
 def _handle_eval(args: argparse.Namespace) -> int:
     """Merge options, build the grid, evaluate rows in order, emit them.
 
@@ -513,35 +505,32 @@ def _handle_eval(args: argparse.Namespace) -> int:
     value_lists = _merge_options(args, command)
     group_rows = _ROW_BUILDERS[command](args)
     params_list = _grid_product(value_lists)
-    columns = _GRID_ORDER[command]
+    shared = _GRID_ORDER[command][:-1]
     rows: list[dict[str, Any]] = []
     failures: list[tuple[dict[str, Any], ConvergenceError]] = []
 
-    def split(group: list[dict[str, Any]], depth: int) -> list[list[dict[str, Any]]]:
-        """The runs of ``group`` that agree on the first ``depth`` columns."""
-        runs = itertools.groupby(group, key=lambda p: [p[c] for c in columns[:depth]])
-        return [list(same) for _, same in runs]
+    def runs(group: list[dict[str, Any]], columns: tuple[str, ...]) -> list[list[dict[str, Any]]]:
+        """The runs of ``group`` that agree on ``columns``."""
+        same_columns = itertools.groupby(group, key=lambda p: [p[c] for c in columns])
+        return [list(same) for _, same in same_columns]
 
-    def evaluate(group: list[dict[str, Any]], depth: int) -> None:
+    def evaluate(group: list[dict[str, Any]]) -> None:
         try:
             rows.extend(group_rows(group))
         except ConvergenceError as exc:
             if len(group) == 1:
                 failures.append((group[0], exc))
                 return
-            # retry on the next column that splits the group (kappa, for eval-maass),
-            # else row by row: only the rows that fail by themselves are left out
-            for finer in range(depth + 1, len(columns)):
-                if len(parts := split(group, finer)) > 1:
-                    break
-            else:
-                finer, parts = len(columns), [[p] for p in group]
-            for part in parts:
-                evaluate(part, finer)
+            # an eval-maass group of several kappa is retried one kappa at a
+            # time, any other group row by row: only the rows that fail by
+            # themselves are left out
+            parts = runs(group, shared)
+            for part in parts if len(parts) > 1 else [[p] for p in group]:
+                evaluate(part)
 
-    depth = len(_GROUP_COLUMNS[command])
-    for group in split(params_list, depth):
-        evaluate(group, depth)
+    # eval-maass rows that differ only in kappa and d share one quadrature per route
+    for group in runs(params_list, shared[:-1] if command == "eval-maass" else shared):
+        evaluate(group)
     _emit_rows(command, rows, args.format or "csv", args.output)
     if failures:
         _report_failures(failures, len(params_list))

@@ -70,7 +70,7 @@ _SINH_FINITE_MAX = math.asinh(sys.float_info.max)
 # terms built of the even series in xi = x^2 (n = 12 keeps 52 of them)
 SERIES_TERMS = 64
 
-# above every order's floor on t (the largest, n = 12, is 1.1e-23), so a
+# above every order's floor on t (the largest, scaled at n = 12, is 1.1e-23), so a
 # larger t skips computing the floor, which builds the order's even series
 _T_FLOOR_BOUND = 1e-20
 
@@ -253,36 +253,38 @@ def _validate_n(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _t_floor(n: int) -> float:
+def _t_floor(n: int, scaled: bool) -> float:
     """Smallest t at which every quantity the order-n evaluation forms fits a double.
 
     Each is bounded by some c t^-a (c, a > 0): t^-n itself; the peak q_t(0)
     <= (n+1) max_a g[a, 0] t^-a / ((2 pi)^n sqrt(4 pi t)); the t-powers of
-    the even series summed to the switch point x_s; and every term of the
-    direct sum, its factors taken at their largest on [x_s, 710.5], times
-    the number of terms.  Each c t^-a stays below the largest double for
-    t >= (c / max)^(1/a).
+    the even series summed to the switch point x_s; and, scaled only, every
+    term of the direct sum, its factors taken at their largest on [x_s,
+    710.5], times the number of terms.  The plain kernel forms no direct
+    sum below t = 1e-20: its live points have x^2 <= 4t * 700 < x_s^2.
+    Each c t^-a stays below the largest double for t >= (c / max)^(1/a).
     """
     switch = small_x_threshold(n)
     g = _series_coeffs(n)
     powers = np.arange(n + 1.0)
     series = (n + 1) * (g * switch ** (2.0 * np.arange(g.shape[1]))).sum(axis=1)
     peak = (n + 1) * g[:, 0] / ((2.0 * math.pi) ** n * math.sqrt(4.0 * math.pi))
-    coth, csch = 1.0 / math.tanh(switch), max(1.0, 1.0 / math.sinh(switch))
-    ts = millson_term_sum(n).terms
-    terms = [
-        (len(ts) * abs(float(term.coeff)) * _SINH_FINITE_MAX**term.xpow * coth**term.coshpow
-         * csch ** (term.sinhinvpow - term.coshpow), term.tpow)
-        for term in ts
-    ]
-    bounds = [(1.0, n), *zip(series, powers), *zip(peak, powers + 0.5), *terms]
+    bounds = [(1.0, n), *zip(series, powers), *zip(peak, powers + 0.5)]
+    if scaled:
+        coth, csch = 1.0 / math.tanh(switch), max(1.0, 1.0 / math.sinh(switch))
+        ts = millson_term_sum(n).terms
+        bounds += [
+            (len(ts) * abs(float(term.coeff)) * _SINH_FINITE_MAX**term.xpow * coth**term.coshpow
+             * csch ** (term.sinhinvpow - term.coshpow), term.tpow)
+            for term in ts
+        ]
     log_max = math.log(sys.float_info.max)
     return max(math.exp((math.log(c) - log_max) / a) for c, a in bounds if c > 0.0 and a > 0)
 
 
 def _eval_kernel(t: float, n: int, x, scaled: bool):
     t, n = _validate_t(t), _validate_n(n)
-    if t < _T_FLOOR_BOUND and t < (floor := _t_floor(n)):
+    if t < _T_FLOOR_BOUND and t < (floor := _t_floor(n, scaled)):
         raise ValueError(
             f"time t={t!r} is below {floor:.3g}, where the order-{n} kernel or its "
             "terms leave double-precision range"
@@ -335,7 +337,7 @@ def hyperbolic_heat_kernel(t: float, n: int, x):
     so that ``integral q_t dvol = 1``: q solves ``dq/dt = q'' + 2n coth(x) q'`` for x > 0.
     ``x`` may be a scalar or array, entries >= 0; n runs from 1 to 12.  t
     has a floor that grows with n: 4e-207 at n = 1, 6.2e-125 at n = 2,
-    1e-89 at n = 3, 4e-49 at n = 6 and 1.1e-23 at n = 12.  Below it t^-n,
+    1e-89 at n = 3, 4e-49 at n = 6 and 6.8e-26 at n = 12.  Below it t^-n,
     the kernel or one of its terms leaves double range, and ``ValueError``
     is raised (one test on (t, n), not on the points).
 
@@ -354,6 +356,8 @@ def hyperbolic_heat_kernel_scaled(t: float, n: int, x):
     part is evaluated directly, so this stays finite (and eventually decays
     like exp(-n x) times powers) for arbitrarily large x.  Integrands that
     multiply q_t by growing exponentials should combine exponents
-    analytically and call this.  The same floor on t holds.
+    analytically and call this.  The floor on t is the plain kernel's up
+    to n = 6 and higher from n = 7 on, where the direct sum's terms at large
+    x set it: 5.5e-42 at n = 7 and 1.1e-23 at n = 12.
     """
     return _eval_kernel(t, n, x, scaled=True)

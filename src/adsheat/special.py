@@ -33,26 +33,18 @@ def chebyshev_T(m, z):
     ``z`` may be a float or a numpy array; the return type matches.
     Satisfies ``T_m(cosh u) = cosh(m u)`` and ``T_m(cos u) = cos(m u)``.
     A 1-D sequence of degrees ``m`` gives an array of shape (len(m),) +
-    z.shape: every degree from one recurrence up to the largest.
+    z.shape: every degree from one recurrence up to the largest.  A single
+    degree is the one-element case, unwrapped.
     """
+    degrees = [require_int(k, "polynomial degree", 0) for k in (m if np.ndim(m) else [m])]
+    arr = np.asarray(z, dtype=float)
+    table = [np.ones_like(arr), arr]
+    while len(table) <= max(degrees, default=0):
+        table.append(2.0 * arr * table[-1] - table[-2])
+    out = np.array([table[k] for k in degrees]).reshape((len(degrees),) + arr.shape)
     if np.ndim(m):
-        degrees = [require_int(k, "polynomial degree", 0) for k in m]
-        z = np.asarray(z, dtype=float)
-        table = [np.ones_like(z), z]
-        while len(table) <= max(degrees, default=0):
-            table.append(2.0 * z * table[-1] - table[-2])
-        return np.array([table[k] for k in degrees]).reshape((len(degrees),) + z.shape)
-    m = require_int(m, "polynomial degree", 0)
-    if m == 0:
-        if isinstance(z, np.ndarray):
-            return np.ones_like(z, dtype=float)
-        return 1.0
-    t_prev, t_cur = 1.0, z
-    for _ in range(m - 1):
-        t_prev, t_cur = t_cur, 2.0 * z * t_cur - t_prev
-    if isinstance(z, np.ndarray):
-        return np.asarray(t_cur, dtype=float)
-    return float(t_cur)
+        return out
+    return out[0, ...] if isinstance(z, np.ndarray) else float(out[0])
 
 
 def gauss_2f1_terminating(m: int, x_arg: float) -> float:
@@ -99,6 +91,7 @@ def spectral_cosh_factor(x, d, kappa):
     if np.any(x <= d):
         raise ValueError("spectral_cosh_factor requires x > d everywhere")
 
-    numer = chebyshev_T(m if np.ndim(kappa) else m[0], np.cosh(x) / np.cosh(d))
-    out = numer / np.sqrt(np.sinh(x - d) * np.sinh(x + d))
-    return float(out) if np.ndim(out) == 0 else out
+    out = chebyshev_T(m, np.cosh(x) / np.cosh(d)) / np.sqrt(np.sinh(x - d) * np.sinh(x + d))
+    if np.ndim(kappa):
+        return out
+    return float(out[0]) if out.ndim == 1 else out[0]

@@ -318,23 +318,37 @@ class TestEvaluation:
     @pytest.mark.parametrize("t, x", [(1e-27, 0.0), (1e-26, 1.55e-12)])
     def test_time_below_floor_rejected(self, kernel, t, x):
         # t^-12 overflows here; the sum gave 0 * inf = NaN
-        with pytest.raises(ValueError, match=r"below 1.1e-23, where the order-12 kernel"):
+        with pytest.raises(ValueError, match=r"below \S+, where the order-12 kernel"):
             kernel(t, 12, x)
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_finite_at_the_time_floor(self, n):
-        floor = _t_floor(n)
+    @pytest.mark.parametrize("kernel, scaled", [(hyperbolic_heat_kernel, False), (hyperbolic_heat_kernel_scaled, True)])
+    def test_finite_at_the_time_floor(self, n, kernel, scaled):
+        floor = _t_floor(n, scaled)
         xs = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-9, 710.4, 400)])
-        for kernel in (hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled):
-            assert np.isfinite(kernel(floor, n, xs)).all()
-            with pytest.raises(ValueError, match=r"double-precision range"):
-                kernel(floor * (1.0 - 1e-12), n, xs)
+        assert np.isfinite(kernel(floor, n, xs)).all()
+        with pytest.raises(ValueError, match=r"double-precision range"):
+            kernel(floor * (1.0 - 1e-12), n, xs)
 
     def test_time_floor_as_documented(self):
-        stated = {1: 4e-207, 2: 6.2e-125, 3: 1e-89, 6: 4e-49, 12: 1.1e-23}
-        for n, floor in stated.items():
-            assert _t_floor(n) == pytest.approx(floor, rel=0.05)
-        assert max(_t_floor(n) for n in range(1, 13)) < _T_FLOOR_BOUND
+        plain = {1: 4e-207, 2: 6.2e-125, 3: 1e-89, 6: 4e-49, 12: 6.8e-26}
+        scaled = {**plain, 7: 5.5e-42, 12: 1.1e-23}
+        for n, floor in plain.items():
+            assert _t_floor(n, False) == pytest.approx(floor, rel=0.05)
+        for n, floor in scaled.items():
+            assert _t_floor(n, True) == pytest.approx(floor, rel=0.05)
+        assert max(_t_floor(n, True) for n in range(1, 13)) < _T_FLOOR_BOUND
+
+    def test_plain_kernel_keeps_times_only_the_scaled_one_rejects(self):
+        # from n = 7 the scaled kernel's direct-sum terms set its floor; the
+        # plain kernel forms none of them at such t and stays defined
+        xs = np.array([0.0, 1e-13, 0.5, 700.0])
+        for n, t in [(7, 1e-42), (12, 1e-24), (12, 1e-25)]:
+            assert np.isfinite(hyperbolic_heat_kernel(t, n, xs)).all()
+            with pytest.raises(ValueError, match=r"double-precision range"):
+                hyperbolic_heat_kernel_scaled(t, n, xs)
+        with pytest.raises(ValueError, match=r"below 6.77e-26"):
+            hyperbolic_heat_kernel(6e-26, 12, xs)
 
     @given(
         st.integers(min_value=1, max_value=6),

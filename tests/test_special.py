@@ -42,6 +42,20 @@ class TestChebyshev:
             assert row.tolist() == chebyshev_T(m, z).tolist()
         assert chebyshev_T([], z).shape == (0, 1, 7)
 
+    def test_bits_of_the_float_recurrence(self):
+        # the recurrence on Python floats, in the same op order
+        def reference(m, z):
+            t_prev, t_cur = 1.0, z
+            for _ in range(m - 1):
+                t_prev, t_cur = t_cur, 2.0 * z * t_cur - t_prev
+            return 1.0 if m == 0 else t_cur
+
+        for z in (-1.7, -0.3, 0.1, 0.9999, 1.3, math.cosh(2.5)):
+            for m in range(13):
+                out = chebyshev_T(m, z)
+                assert type(out) is float and out == reference(m, z)
+        assert chebyshev_T(4, np.array(0.6)).shape == ()
+
     def test_array_input(self):
         z = np.linspace(-2.0, 2.0, 7)
         out = chebyshev_T(5, z)
