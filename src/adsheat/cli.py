@@ -75,7 +75,7 @@ class UsageError(ValueError):
 # value converters (shared by flags and config-file entries)
 
 
-def _conv_float(raw: str) -> float:
+def _conv_float(raw: str | float) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -85,11 +85,13 @@ def _conv_float(raw: str) -> float:
     return value
 
 
-def _conv_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"expected an integer, got {raw!r}") from None
+def _conv_int(raw: str | float) -> int:
+    """A number within 1e-9 of an integer: ``2``, ``2.0`` or a grid range's point."""
+    value = _conv_float(raw)
+    if abs(value - round(value)) > 1e-9:
+        raise UsageError(f"expected an integer, got {raw!r}")
+    # digits alone stay exact past 2**53 (a seed)
+    return int(raw) if isinstance(raw, str) and raw.strip().isdecimal() else round(value)
 
 
 def _conv_point(raw: str) -> tuple[complex, ...]:
@@ -117,7 +119,6 @@ class _Param:
     convert: Callable[[str], Any]
     default: Any
     gridable: bool = False
-    integral: bool = False
     help: str = ""
 
 
@@ -134,12 +135,12 @@ _TOL_PARAMS: dict[str, _Param] = {
 _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
     "eval-hyperbolic": {
         "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
-        "n": _Param(_conv_int, 1, gridable=True, integral=True, help="space is H^(2n+1)"),
+        "n": _Param(_conv_int, 1, gridable=True, help="space is H^(2n+1)"),
         "x": _Param(_conv_float, 1.0, gridable=True, help="geodesic distance"),
     },
     "eval-maass": {
         "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
-        "n": _Param(_conv_int, 1, gridable=True, integral=True, help="complex dimension"),
+        "n": _Param(_conv_int, 1, gridable=True, help="complex dimension"),
         "kappa": _Param(
             _conv_float, 0.0, gridable=True, help="spin weight (half-integer)"
         ),
@@ -150,7 +151,7 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
     },
     "eval-ads": {
         "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
-        "n": _Param(_conv_int, 1, gridable=True, integral=True, help="complex dimension"),
+        "n": _Param(_conv_int, 1, gridable=True, help="complex dimension"),
         "d": _Param(_conv_float, 0.5, gridable=True, help="hyperbolic distance"),
         "theta": _Param(_conv_float, 0.0, gridable=True, help="fiber angle"),
         "w": _Param(_conv_point, None, help="first ball point"),
@@ -165,7 +166,7 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
         **_TOL_PARAMS,
     },
     "identity": {
-        "m": _Param(_conv_int, None, gridable=True, integral=True, help="polynomial degree"),
+        "m": _Param(_conv_int, None, gridable=True, help="polynomial degree"),
         "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
         "u": _Param(_conv_float, 0.5, gridable=True, help="evaluation abscissa"),
         "theta": _Param(_conv_float, 0.7, gridable=True, help="fiber angle"),
@@ -244,19 +245,12 @@ def _parse_grid_entry(entry: str, params: dict[str, _Param]) -> tuple[str, list[
         count = _conv_int(parts[2])
         if count < 1:
             raise UsageError(f"grid count must be >= 1, got {count}")
-        raw_values = [float(v) for v in np.linspace(lo, hi, count)]
+        raw_values: list[Any] = [float(v) for v in np.linspace(lo, hi, count)]
     else:
-        raw_values = [_conv_float(tok) for tok in spec.split(",") if tok.strip()]
+        raw_values = [tok for tok in spec.split(",") if tok.strip()]
         if not raw_values:
             raise UsageError(f"empty grid value list in {entry!r}")
-    if param.integral:
-        values: list[Any] = []
-        for v in raw_values:
-            if abs(v - round(v)) > 1e-9:
-                raise UsageError(f"grid for {name!r} needs integers, got {v!r}")
-            values.append(int(round(v)))
-        return name, values
-    return name, raw_values
+    return name, [param.convert(v) for v in raw_values]
 
 
 def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any]]:

@@ -411,16 +411,15 @@ def maass_kernel_direct(
     return complex(twist_phase(twist, query.kappa)) * v
 
 
-def _baseline_mode_count(t: float, v0: float, eps_tail: float) -> int:
-    """Floor on the number of fiber modes: the K with e^{-t K^2} C < eps_tail.
+def _baseline_mode_count(t: float, eps_tail: float) -> int:
+    """Floor on the number of fiber modes: the K with e^{-t K^2} < eps_tail, plus 2.
 
-    C = |v_0| + 1, plus two modes of margin.  Without this floor a kernel
-    below eps_tail stops at its first damped pair: n = 3, t = 1.5, d = 0
-    would sum 1 mode instead of 6, 2.7e-3 relative off an eps_tail = 1e-15
-    reference (0 with the floor).
+    Without it a kernel below eps_tail stops at its first damped pair: n = 3,
+    t = 1.5, d = 0 would sum 1 mode instead of 6, 2.7e-3 relative off an
+    eps_tail = 1e-15 reference (0 with the floor).  It takes no |v_0|: the
+    stop test bounds that term (see :func:`ads_kernel_series_detail`).
     """
-    c = abs(v0) + 1.0
-    return math.ceil(math.sqrt(max(0.0, math.log(c / eps_tail)) / t)) + 2
+    return math.ceil(math.sqrt(math.log(1.0 / eps_tail) / t)) + 2
 
 
 def ads_kernel_series_detail(
@@ -440,16 +439,17 @@ def ads_kernel_series_detail(
     real, so the sum is real (the kernel of a real operator).  No damped
     mode depends on theta: :meth:`AdsSeriesResult.at_angle` re-sums them.
 
-    Truncation: at least the floor count of :func:`_baseline_mode_count`
-    modes are summed, then modes are added until the last damped pair
-    ``2 |e^{-t k^2} V_k(d)|`` is below ``eps_tail``, in blocks of at most
-    MAX_FIBER_MODES + 1 modes (one vector quadrature each) that end at the
-    floor for v_0 = 0 (t only: short at large t, where high modes overflow
-    cosh u), then at twice the last end.  Damped modes decay like
-    e^{-2 n t k}, so this always terminates; MAX_FIBER_MODES is a safety
-    stop that raises ConvergenceError, before any quadrature when the floor
-    alone exceeds it (t below about 3.2e-4 at eps_tail 1e-9).
-    ``k_max_override`` pins the count.
+    Truncation: V_k = 2 int q_t(x(u)) cosh(k u) du >= V_0 > 0, so every damped
+    mode is positive and at least e^{-t k^2} v_0: a damped pair ``2 e^{-t k^2}
+    V_k(d)`` below ``eps_tail`` bounds the |v_0| term too.  The sum stops at
+    the first such pair from the floor of :func:`_baseline_mode_count` on.
+    Modes come in blocks, one vector quadrature each, searched as they come:
+    the first ends at the floor (short at large t, where high modes overflow
+    cosh u), each later one at twice the previous end.  Damped modes decay like
+    e^{-2 n t k}, so this always terminates; MAX_FIBER_MODES is a safety stop
+    that raises ConvergenceError, before any quadrature when the floor alone
+    exceeds it (t below about 3.2e-4 at eps_tail 1e-9).  ``k_max_override``
+    pins the count: the blocks then end at it, MAX_FIBER_MODES + 1 modes at most.
 
     Accuracy is absolute, about ``eps_tail``: a kernel value below that can
     come out negative (t = 0.2, d = 0.5, theta = 3.14159 gives -2.7e-10 with
@@ -462,7 +462,7 @@ def ads_kernel_series_detail(
     eps, pinned = s_cfg.eps_tail, s_cfg.k_max_override is not None
     k_cap = s_cfg.k_max_override if pinned else MAX_FIBER_MODES
 
-    floor = _baseline_mode_count(t, 0.0, eps)  # grows with |v_0|: no sum stops below it
+    floor = _baseline_mode_count(t, eps)
     if not pinned and floor > k_cap:
         raise ConvergenceError(
             f"fiber-mode series cannot converge: its floor of {floor} modes at t={t!r}, "
@@ -470,17 +470,15 @@ def ads_kernel_series_detail(
         )
 
     modes: list[float] = []
-    hi = k_cap if pinned else floor
+    hi = first = k_cap if pinned else floor  # the first mode the sum may stop at
     while True:
         lo = len(modes)
-        hi = min(hi, lo + MAX_FIBER_MODES)  # bounds the (modes, nodes) arrays
+        hi = min(hi, lo + MAX_FIBER_MODES)  # binds only a pinned count: bounds the arrays
         ks = np.arange(lo, hi + 1)
         with _labelled(f"fiber modes k={lo}..{hi}"):
             modes += _cosh_mode_integral(t, n, ks, [d], q_cfg, shift=t * ks * ks)[:, 0].tolist()
-        k_base = _baseline_mode_count(t, modes[0], eps)
-        small = (j for j in range(max(lo, k_base), hi + 1) if 2.0 * abs(modes[j]) < eps)
-        k = hi if pinned else next(small, 0)
-        if (k == k_cap) if pinned else k:
+        stops = [j for j in range(max(lo, first), hi + 1) if pinned or 2.0 * abs(modes[j]) < eps]
+        if stops:
             break
         if hi == k_cap:
             raise ConvergenceError(
@@ -489,8 +487,9 @@ def ads_kernel_series_detail(
                 value=AdsSeriesResult(0j, k_cap, 0.0, tuple(modes)).at_angle(theta_eff).value,
                 error_estimate=2.0 * abs(modes[-1]),
             )
-        hi = min(k_cap, max(k_base, 2 * hi))
+        hi = min(k_cap, 2 * hi)
 
+    k = stops[0]
     modes = modes[: k + 1]
     ratio = math.exp(-2.0 * n * t)
     tail = 2.0 * abs(modes[k]) * ratio / (1.0 - ratio) if k else 0.0

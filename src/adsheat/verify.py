@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .geometry import BallPoint, bergman_pairing, require_half_integer, twist_phase
+from .geometry import BallPoint, bergman_pairing, require_half_integer, require_int, twist_phase
 from .kernels import _mode_u_max, maass_radial_profile
 from .quadrature import QuadratureConfig, adaptive_gauss_kronrod, gauss_legendre_rule
 from .radial_heat import _validate_t, hyperbolic_heat_kernel
@@ -379,12 +379,14 @@ def run_default_suite(
     """Run the named check suites and grade each against its threshold.
 
     Suites run in the order given, each once, at its first position; a name
-    outside :data:`DEFAULT_SUITES` raises ``ValueError``.  Deterministic
-    given ``seed`` (used only by the subordination samples).  Thresholds
+    outside :data:`DEFAULT_SUITES` raises ``ValueError``, as does a ``seed``
+    that is not an integer >= 0, whatever the suites.  Deterministic given
+    ``seed`` (used only by the subordination samples).  Thresholds
     are the acceptance-level ones: spin-weighted PDE 5e-3 relative, radial
     PDE 1e-4 relative, subordination 1e-8 spectral-norm, semigroup 1e-3
     relative, mass 1e-6 (n = 1) / 1e-5 (n = 2).
     """
+    seed = require_int(seed, "seed", 0)
     unknown = sorted(set(suites) - set(DEFAULT_SUITES))
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {', '.join(DEFAULT_SUITES)}")

@@ -685,6 +685,19 @@ class TestVerifyCommand:
         assert names[:2] == ["subordination_t0.5", "subordination_t1"]
         assert len(names) == len(set(names)) == 5
 
+    @pytest.mark.parametrize("suite", ["radial-pde", "subordination"])
+    def test_negative_seed_exits_2_for_every_suite(self, capsys, suite):
+        # the seed feeds only subordination, but it is checked for any selection
+        rc, out, err = run_cli(capsys, ["verify", "--suite", suite, "--seed", "-3"])
+        assert (rc, out) == (2, "")
+        assert "seed must be an integer >= 0, got -3" in err
+
+    def test_seed_past_2_to_the_53_stays_exact(self, capsys):
+        # integer options are read through float, but digits alone keep every digit
+        rc, out, _ = run_cli(capsys, ["verify", "--suite", "subordination", "--seed", str(2**53 + 1)])
+        assert rc == 0
+        assert json.loads(out)["seed"] == 2**53 + 1
+
     def test_deterministic_for_seed(self, capsys):
         argv = ["verify", "--suite", "subordination", "--seed", "9"]
         rc1, out1, _ = run_cli(capsys, argv)
@@ -728,6 +741,22 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, ["eval-hyperbolic", "--config", "/no/such/file"])
         assert rc == 2
+
+    def test_one_integer_rule_for_flag_grid_and_config(self, capsys, tmp_path):
+        # a whole number written as a float is that integer wherever it comes from
+        (tmp_path / "run.cfg").write_text("n = 2.0\n", encoding="utf-8")
+        base = ["eval-hyperbolic", "--x", "0.5"]
+        outputs = []
+        for extra in (["--n", "2"], ["--n", "2.0"], ["--grid", "n=2.0"], ["--config", str(tmp_path / "run.cfg")]):
+            rc, out, _ = run_cli(capsys, base + extra)
+            assert rc == 0
+            outputs.append(out)
+        assert outputs[1:] == outputs[:1] * 3
+        assert outputs[0].splitlines()[1].split(",")[1] == "2"
+        for extra in (["--n", "2.5"], ["--grid", "n=2.5"], ["--grid", "n=1:2:3"]):
+            rc, out, err = run_cli(capsys, base + extra)
+            assert (rc, out) == (2, "")
+            assert "expected an integer" in err
 
 
 class TestSubprocessEntry:

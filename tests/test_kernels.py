@@ -410,14 +410,40 @@ class TestAdsSeries:
         assert default.value.real == pytest.approx(reference.value.real, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "t, d, modes",
-        [(0.3, 0.5, 33), (1.0, 0.5, 11), (0.1, 0.2, 114), (0.08, 0.12, 152), (2.0, 2.4, 6), (0.07, 0.0, 182)],
+        "t, n, d, eps_tail, modes",
+        [
+            (0.3, 1, 0.5, 1e-9, 33),
+            (1.0, 1, 0.5, 1e-9, 11),
+            (0.1, 1, 0.2, 1e-9, 114),
+            (0.08, 1, 0.12, 1e-9, 152),
+            (2.0, 1, 2.4, 1e-9, 6),
+            (0.07, 1, 0.0, 1e-9, 182),
+            # a floor with a |v_0| term was one mode higher here; the count was not
+            (0.05, 6, 0.0, 1e-9, 66),
+            (0.05, 1, 0.0, 1e-4, 137),
+        ],
     )
-    def test_modes_used_frozen(self, t, d, modes):
+    def test_modes_used_frozen(self, t, n, d, eps_tail, modes):
         # counts of the one-integral-per-mode series; blocks must not move them
-        detail = ads_kernel_series_detail(t, 1, d, 0.7)
+        detail = ads_kernel_series_detail(t, n, d, 0.7, SeriesConfig(eps_tail=eps_tail))
         assert detail.modes_used == modes
         assert len(detail.damped_modes) == modes + 1
+
+    @given(
+        st.floats(min_value=0.05, max_value=3.0),
+        st.sampled_from([1, 2, 3, 6, 12]),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_damped_modes_are_positive_and_bound_v0(self, t, n, d):
+        # V_k >= V_0 > 0, so each damped mode is at least e^{-t k^2} v_0: the
+        # stop test then bounds the |v_0| term the mode floor leaves out
+        try:
+            modes = ads_kernel_series_detail(t, n, d, 0.0).damped_modes
+        except ConvergenceError:
+            return  # past the mode cap (small t, small n)
+        for k, mode in enumerate(modes):
+            assert mode > 0.0
+            assert mode >= math.exp(-t * k * k) * modes[0]
 
     @pytest.mark.parametrize("w, y", [((0.46,), (0.0,)), ((0.3 + 0.1j,), (0.2j,))])
     def test_at_angle_equals_a_fresh_series(self, w, y):

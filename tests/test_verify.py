@@ -258,6 +258,12 @@ class TestSuiteRunner:
         b = run_default_suite(("subordination",), seed=1)
         assert [r.max_abs_residual for r in a] == [r.max_abs_residual for r in b]
 
+    @pytest.mark.parametrize("suites", [("radial-pde",), ("subordination",)])
+    @pytest.mark.parametrize("seed", [-3, 2.5, True])
+    def test_seed_checked_whatever_the_suites(self, suites, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run_default_suite(suites, seed=seed)
+
     def test_default_suite_names(self):
         assert DEFAULT_SUITES == (
             "maass-pde",
