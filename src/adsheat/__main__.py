@@ -1,5 +1,7 @@
 """Allow ``python -m adsheat``."""
 
-from .cli import console_main
+import sys
 
-console_main()
+from .cli import main
+
+sys.exit(main())

@@ -24,7 +24,10 @@ pair is paired, once per group, and its rows print the pair's distance.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
-failures are listed on stderr) or a verification check did not pass.
+failures are listed on stderr) or a verification check did not pass.  A bad
+value's message leads with its source: ``--t``, ``--grid t=0.5,abc`` or
+``run.cfg: max_nodes``.  An unwritable ``--output`` and an ``identity`` row
+outside double range also exit 2.
 """
 
 from __future__ import annotations
@@ -112,6 +115,14 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return convert
 
 
+def _convert(convert: Callable[[Any], Any], raw: Any, source: str) -> Any:
+    """``convert(raw)``, its error led by ``source``: a flag, grid entry or config key."""
+    try:
+        return convert(raw)
+    except UsageError as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class _Param:
     """One mergeable value option of a subcommand."""
@@ -132,30 +143,41 @@ _TOL_PARAMS: dict[str, _Param] = {
     ),
 }
 
+# the records several subcommands share
+_T = _Param(_conv_float, 1.0, gridable=True, help="diffusion time")
+_N = _Param(_conv_int, 1, gridable=True, help="complex dimension n (H^(2n+1) for eval-hyperbolic)")
+_D = _Param(_conv_float, 0.5, gridable=True, help="hyperbolic distance")
+_W = _Param(_conv_point, None, help="first ball point, e.g. 0.3+0.1j,0.2")
+_Y = _Param(_conv_point, None, help="second ball point")
+_OUTPUT_PARAMS: dict[str, _Param] = {
+    "output": _Param(str, None, help="output path ('-' = stdout)"),
+    "format": _Param(_choice("csv", "json"), None, help="csv (default) or json; verify: json"),
+}
+
 _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
     "eval-hyperbolic": {
-        "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
-        "n": _Param(_conv_int, 1, gridable=True, help="space is H^(2n+1)"),
+        "t": _T,
+        "n": _N,
         "x": _Param(_conv_float, 1.0, gridable=True, help="geodesic distance"),
+        **_OUTPUT_PARAMS,
     },
     "eval-maass": {
-        "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
-        "n": _Param(_conv_int, 1, gridable=True, help="complex dimension"),
-        "kappa": _Param(
-            _conv_float, 0.0, gridable=True, help="spin weight (half-integer)"
-        ),
-        "d": _Param(_conv_float, 0.5, gridable=True, help="hyperbolic distance"),
-        "w": _Param(_conv_point, None, help="first ball point, e.g. 0.3+0.1j,0.2"),
-        "y": _Param(_conv_point, None, help="second ball point"),
+        "t": _T,
+        "n": _N,
+        "kappa": _Param(_conv_float, 0.0, gridable=True, help="spin weight (half-integer)"),
+        "d": _D,
+        "w": _W,
+        "y": _Y,
         **_TOL_PARAMS,
+        **_OUTPUT_PARAMS,
     },
     "eval-ads": {
-        "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
-        "n": _Param(_conv_int, 1, gridable=True, help="complex dimension"),
-        "d": _Param(_conv_float, 0.5, gridable=True, help="hyperbolic distance"),
+        "t": _T,
+        "n": _N,
+        "d": _D,
         "theta": _Param(_conv_float, 0.0, gridable=True, help="fiber angle"),
-        "w": _Param(_conv_point, None, help="first ball point"),
-        "y": _Param(_conv_point, None, help="second ball point"),
+        "w": _W,
+        "y": _Y,
         "eps_tail": _Param(_conv_float, SeriesConfig.eps_tail, help="series tail cutoff"),
         "k_max": _Param(_conv_int, None, help="pin the series at |k| <= k_max"),
         "normalization": _Param(
@@ -164,10 +186,11 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
             help="report the plain mode sum or the sum divided by 2 pi",
         ),
         **_TOL_PARAMS,
+        **_OUTPUT_PARAMS,
     },
     "identity": {
         "m": _Param(_conv_int, None, gridable=True, help="polynomial degree"),
-        "t": _Param(_conv_float, 1.0, gridable=True, help="diffusion time"),
+        "t": _T,
         "u": _Param(_conv_float, 0.5, gridable=True, help="evaluation abscissa"),
         "theta": _Param(_conv_float, 0.7, gridable=True, help="fiber angle"),
         "k_max": _Param(_conv_int, 12, help="shifted-copy count for the theta identity"),
@@ -176,12 +199,14 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
             "both",
             help="which identity family to tabulate",
         ),
+        **_OUTPUT_PARAMS,
     },
     "verify": {
         "suite": _Param(
             str, "all", help="'all' or comma list of " + ", ".join(DEFAULT_SUITES)
         ),
         "seed": _Param(_conv_int, 42, help="seed for the randomized operator samples"),
+        **_OUTPUT_PARAMS,
     },
 }
 
@@ -228,7 +253,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _parse_grid_entry(entry: str, params: dict[str, _Param]) -> tuple[str, list[Any]]:
     if "=" not in entry:
-        raise UsageError(f"--grid expects name=spec, got {entry!r}")
+        raise UsageError("expected name=spec")
     name, spec = entry.split("=", 1)
     name = name.strip().replace("-", "_")
     spec = spec.strip()
@@ -240,67 +265,57 @@ def _parse_grid_entry(entry: str, params: dict[str, _Param]) -> tuple[str, list[
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid range must be lo:hi:count, got {spec!r}")
-        lo = _conv_float(parts[0])
-        hi = _conv_float(parts[1])
-        count = _conv_int(parts[2])
+        lo, hi, count = _conv_float(parts[0]), _conv_float(parts[1]), _conv_int(parts[2])
         if count < 1:
             raise UsageError(f"grid count must be >= 1, got {count}")
         raw_values: list[Any] = [float(v) for v in np.linspace(lo, hi, count)]
     else:
         raw_values = [tok for tok in spec.split(",") if tok.strip()]
         if not raw_values:
-            raise UsageError(f"empty grid value list in {entry!r}")
+            raise UsageError("empty grid value list")
     return name, [param.convert(v) for v in raw_values]
 
 
 def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any]]:
-    """Resolve flags < config < defaults and expand grids.
+    """Resolve each parameter once: its flag, else its config entry, else its default.
 
-    Returns the per-parameter value lists (singletons unless gridded) and
-    leaves merged scalars on ``args``.
+    Every value, grid value and grid range part is converted once, through
+    :func:`_convert`.  Returns the per-column value lists (singletons unless
+    gridded) and leaves the resolved scalars on ``args``.
     """
     params = _COMMAND_PARAMS[command]
-    explicit = {k for k in params if getattr(args, k) is not None}
-    grid_entries: list[str] = list(args.grid or [])
-
     config = _read_config_file(args.config) if args.config else {}
-    if "grid" in config:
-        if not grid_entries:
-            grid_entries = [s.strip() for s in config["grid"].split(";") if s.strip()]
-        del config["grid"]
-    for key in ("output", "format"):
-        if key in config:
-            raw = config.pop(key)
-            if getattr(args, key, None) is None:
-                setattr(args, key, _choice("csv", "json")(raw) if key == "format" else raw)
+    config_grid = [s.strip() for s in config.pop("grid", "").split(";") if s.strip()]
     known_anywhere = {k for table in _COMMAND_PARAMS.values() for k in table}
-    for key, raw in config.items():
-        if key not in params:
-            # keys for other subcommands are tolerated so one config file
-            # can serve a whole pipeline; typos are still caught
-            if key in known_anywhere:
-                continue
+    for key in config:
+        # keys for other subcommands are tolerated so one config file can
+        # serve a whole pipeline; typos are still caught
+        if key not in known_anywhere:
             raise UsageError(f"unknown config key {key!r}")
-        if key not in explicit:
-            setattr(args, key, params[key].convert(raw))
-
-    given = {k for k in params if getattr(args, k) is not None}  # by flag or config
-    for key, param in params.items():
-        value = getattr(args, key)
-        if value is None:
-            setattr(args, key, param.default)
-        elif isinstance(value, str):
-            setattr(args, key, param.convert(value))
 
     grids: dict[str, list[Any]] = {}
-    for entry in grid_entries:
-        name, values = _parse_grid_entry(entry, params)
-        if name in explicit:
-            raise UsageError(f"--{name.replace('_', '-')} conflicts with --grid {name}=...")
+    grid_source = "--grid" if args.grid else f"{args.config}: grid"
+    for entry in args.grid or config_grid:
+        name, values = _convert(
+            lambda e: _parse_grid_entry(e, params), entry, f"{grid_source} {entry}"
+        )
         if name in grids:
             raise UsageError(f"duplicate grid for {name!r}")
         grids[name] = values
-    if given & {"w", "y"} and "d" in given | grids.keys():
+
+    sources: dict[str, str] = {}  # the flag or config entry each given value came from
+    for name, param in params.items():
+        flag = "--" + name.replace("_", "-")
+        raw = getattr(args, name)
+        if raw is not None:
+            if name in grids:
+                raise UsageError(f"{flag} conflicts with --grid {name}=...")
+            sources[name] = flag
+        elif name in config:
+            raw, sources[name] = config[name], f"{args.config}: {name}"
+        value = param.default if raw is None else _convert(param.convert, raw, sources[name])
+        setattr(args, name, value)
+    if sources.keys() & {"w", "y"} and "d" in sources.keys() | grids.keys():
         raise UsageError("--w/--y fix the geometry; they conflict with --d and a grid over d")
 
     return {
@@ -322,39 +337,22 @@ def _grid_product(value_lists: dict[str, list[Any]]) -> list[dict[str, Any]]:
 def _out_stream(path: str | None) -> Iterator[TextIO]:
     if path in (None, "-"):
         yield sys.stdout
-    else:
+        return
+    try:
         handle = open(path, "w", encoding="utf-8", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
-
-
-def _fmt_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):  # np.float64 included
-        return format(value, ".17g")
-    return str(value)
-
-
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path!r}: {exc}") from None
+    with handle:
+        yield handle
 
 
 def _write_json(payload: dict[str, Any], path: str | None) -> None:
     with _out_stream(path) as out:
-        out.write(json.dumps(payload, indent=2, default=_json_default))
+        out.write(json.dumps(payload, indent=2))
         out.write("\n")
 
 
-def _emit_rows(
-    command: str, rows: list[dict[str, Any]], fmt: str, path: str | None
-) -> None:
+def _emit_rows(command: str, rows: list[dict[str, Any]], fmt: str, path: str | None) -> None:
     if fmt == "json":
         _write_json({"command": command, "rows": rows}, path)
         return
@@ -363,30 +361,13 @@ def _emit_rows(
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt_cell(row[name]) for name in header])
-
-
-def _report_failures(
-    failures: list[tuple[dict[str, Any], ConvergenceError]], total: int
-) -> None:
-    for p, exc in failures:
-        spec = ", ".join(f"{k}={v}" for k, v in p.items())
-        print(f"warning: row ({spec}) did not converge: {exc}", file=sys.stderr)
-    print(
-        f"warning: {len(failures)} of {total} rows failed; "
-        f"output holds the {total - len(failures)} completed rows",
-        file=sys.stderr,
-    )
+            cells = (row[name] for name in header)
+            # floats (np.float64 included) at 17 digits; csv writes None as ""
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in cells])
 
 
 # ---------------------------------------------------------------------------
 # eval subcommands: one pipeline, one row builder per command
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(
-        abs_tol=args.abs_tol, rel_tol=args.rel_tol, max_nodes=args.max_nodes
-    )
 
 
 def _paired_points(args: argparse.Namespace, n: int, d: Any) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +397,7 @@ def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, A
 
 
 def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
-    quad = _quad_config(args)
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol, args.max_nodes)
 
     def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
         t, n = group[0]["t"], group[0]["n"]
@@ -448,7 +429,7 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]
 
 
 def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
-    quad = _quad_config(args)
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol, args.max_nodes)
     series_cfg = SeriesConfig(eps_tail=args.eps_tail, k_max_override=args.k_max)
     report_theorem = args.normalization == "theorem"
 
@@ -526,23 +507,29 @@ def _handle_eval(args: argparse.Namespace) -> int:
     for group in runs(params_list, shared[:-1] if command == "eval-maass" else shared):
         evaluate(group)
     _emit_rows(command, rows, args.format or "csv", args.output)
-    if failures:
-        _report_failures(failures, len(params_list))
-        return 3
-    return 0
+    if not failures:
+        return 0
+    for p, exc in failures:
+        spec = ", ".join(f"{k}={v}" for k, v in p.items())
+        print(f"warning: row ({spec}) did not converge: {exc}", file=sys.stderr)
+    total = len(params_list)
+    print(
+        f"warning: {len(failures)} of {total} rows failed; "
+        f"output holds the {total - len(failures)} completed rows",
+        file=sys.stderr,
+    )
+    return 3
 
 
 def _handle_identity(args: argparse.Namespace) -> int:
     value_lists = _merge_options(args, "identity")
-    which = args.which
     k_terms = require_int(args.k_max, "--k-max", 1)
 
     m_values = value_lists["m"]
     if m_values == [None]:
         m_values = list(range(13))
-    for m in m_values:
-        if m is None or m < 0:
-            raise UsageError(f"polynomial degree m must be >= 0, got {m}")
+    if min(m_values) < 0:
+        raise UsageError(f"polynomial degree m must be >= 0, got {min(m_values)}")
 
     def row(identity: str, lhs: complex, rhs: complex, **params: Any) -> dict[str, Any]:
         return {
@@ -557,18 +544,18 @@ def _handle_identity(args: argparse.Namespace) -> int:
         }
 
     rows: list[dict[str, Any]] = []
-    if which in ("both", "gauss-cosh"):
-        for m in m_values:
-            for u in value_lists["u"]:
-                lhs = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
-                rows.append(row("gauss-cosh", lhs, chebyshev_T(m, math.cosh(u)), m=m, u=u))
-    if which in ("both", "theta"):
-        for t in value_lists["t"]:
-            for u in value_lists["u"]:
-                for theta in value_lists["theta"]:
-                    lhs = theta_identity_lhs(t, u, theta, k_terms)
-                    rhs = theta_identity_rhs(t, u, theta, k_terms)
-                    rows.append(row("theta", lhs, rhs, t=t, u=u, theta=theta, k_terms=k_terms))
+    if args.which in ("both", "gauss-cosh"):
+        for p in _grid_product({"m": m_values, "u": value_lists["u"]}):
+            m, u = p["m"], p["u"]
+            if max(m, 1) * abs(u) > 709.0:  # past it cosh(m u) leaves double range
+                raise ValueError(f"gauss-cosh needs max(m, 1)*|u| <= 709, got m={m}, u={u}")
+            lhs = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
+            rows.append(row("gauss-cosh", lhs, chebyshev_T(m, math.cosh(u)), **p))
+    if args.which in ("both", "theta"):
+        for p in _grid_product({name: value_lists[name] for name in ("t", "u", "theta")}):
+            lhs = theta_identity_lhs(k_terms=k_terms, **p)
+            rhs = theta_identity_rhs(k_terms=k_terms, **p)
+            rows.append(row("theta", lhs, rhs, **p, k_terms=k_terms))
     _emit_rows("identity", rows, args.format or "csv", args.output)
     return 0
 
@@ -642,13 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sub.set_defaults(grid=None)
         sub.add_argument("--config", metavar="PATH", help="key=value file; flags win")
-        sub.add_argument("--output", metavar="PATH", help="output path ('-' = stdout)")
-        sub.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=None,
-            help="csv (default) or json" if command != "verify" else "json only",
-        )
         if command == "verify":
             sub.add_argument(
                 "--timestamp",
@@ -675,10 +655,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -99,7 +99,7 @@ __all__ = [
 # below this distance the direct route's endpoint substitution is noise
 DIRECT_ROUTE_MIN_DISTANCE = 1e-8
 
-# hard stop for the fiber-mode sum; generous: damped modes die like e^(-2ntk)
+# hard stop for the fiber-mode sum; it binds at small t near d = 0, e.g. t <= 0.05 at n = 1
 MAX_FIBER_MODES = 256
 
 # t * (2 kappa)^2 beyond which the undamped kernel overflows double range
@@ -445,11 +445,12 @@ def ads_kernel_series_detail(
     the first such pair from the floor of :func:`_baseline_mode_count` on.
     Modes come in blocks, one vector quadrature each, searched as they come:
     the first ends at the floor (short at large t, where high modes overflow
-    cosh u), each later one at twice the previous end.  Damped modes decay like
-    e^{-2 n t k}, so this always terminates; MAX_FIBER_MODES is a safety stop
-    that raises ConvergenceError, before any quadrature when the floor alone
-    exceeds it (t below about 3.2e-4 at eps_tail 1e-9).  ``k_max_override``
-    pins the count: the blocks then end at it, MAX_FIBER_MODES + 1 modes at most.
+    cosh u), each later one at twice the previous end.  At MAX_FIBER_MODES the
+    sum raises ConvergenceError; that cap binds at small t near the diagonal
+    (n = 1, eps_tail 1e-9: t <= 0.05 at d = 0, t <= 0.025 at d = 0.3), and
+    before any quadrature when the floor alone exceeds it (t below 3.2e-4).
+    ``k_max_override`` pins the count: the blocks then end at it,
+    MAX_FIBER_MODES + 1 modes at most.
 
     Accuracy is absolute, about ``eps_tail``: a kernel value below that can
     come out negative (t = 0.2, d = 0.5, theta = 3.14159 gives -2.7e-10 with
@@ -598,19 +599,39 @@ def ads_kernel_integral(
     return float(values[0]) if np.ndim(theta) == 0 else values
 
 
+def _exp_sum(z: np.ndarray, log_scale: float, exponent: str) -> complex:
+    """``sum(e^z)``; ValueError unless ``e^log_scale * len(z) * e^max(Re z)`` stays in range."""
+    peak = float(z.real.max())
+    if not log_scale + math.log(z.size) + peak <= 709.0:  # doubles end at e^709.78; NaN fails
+        raise ValueError(
+            f"theta identity out of double range: {exponent} reaches {peak:.6g}; the sum "
+            f"of {z.size} terms stays finite only while it is below about 709"
+        )
+    return np.exp(z).sum()
+
+
 def theta_identity_lhs(t: float, u: float, theta: float, k_terms: int) -> complex:
-    """Sum of imaginary-shifted Gaussians: sum_{|k|<=K} e^{(u - i theta - 2ik pi)^2/(4t)}."""
+    """Sum of imaginary-shifted Gaussians: sum_{|k|<=K} e^{(u - i theta - 2ik pi)^2/(4t)}.
+
+    Raises ValueError where the real exponents take the sum out of double range.
+    """
     t = _validate_t(t)
     k_terms = require_int(k_terms, "k_terms", 1)
     ks = np.arange(-k_terms, k_terms + 1)
-    z = (u - 1j * theta - 2j * math.pi * ks) ** 2 / (4.0 * t)
-    return complex(np.exp(z).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # +inf or NaN fails the check below
+        z = (u - 1j * theta - 2j * math.pi * ks) ** 2 / (4.0 * t)
+    return complex(_exp_sum(z, 0.0, "(u^2 - (theta + 2k pi)^2)/(4t)"))
 
 
 def theta_identity_rhs(t: float, u: float, theta: float, k_terms: int) -> complex:
-    """Damped exponential series: sqrt(t/pi) sum_{|k|<=K} e^{-t k^2} e^{k(u - i theta)}."""
+    """Damped exponential series: sqrt(t/pi) sum_{|k|<=K} e^{-t k^2} e^{k(u - i theta)}.
+
+    Raises ValueError where the real exponents take the sum out of double range.
+    """
     t = _validate_t(t)
     k_terms = require_int(k_terms, "k_terms", 1)
     ks = np.arange(-k_terms, k_terms + 1)
-    z = -t * ks * ks + ks * (u - 1j * theta)
-    return complex(math.sqrt(t / math.pi) * np.exp(z).sum())
+    with np.errstate(invalid="ignore"):  # NaN fails the check below
+        z = -t * ks * ks + ks * (u - 1j * theta)
+    scale = math.sqrt(t / math.pi)
+    return complex(scale * _exp_sum(z, math.log(scale), "-t k^2 + k u"))

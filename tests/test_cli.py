@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -31,6 +33,26 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def assert_json_rows_are_csv_rows(capsys, argv):
+    """The JSON rows of ``argv`` hold the CSV row of the same call, value for value."""
+    rc_csv, out_csv, _ = run_cli(capsys, argv)
+    rc_json, out_json, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert rc_csv == rc_json == 0
+    header, *csv_rows = list(csv.reader(io.StringIO(out_csv)))
+    json_rows = json.loads(out_json)["rows"]
+    assert len(json_rows) == len(csv_rows) > 0
+    for json_row, cells in zip(json_rows, csv_rows):
+        assert list(json_row) == header
+        for value, cell in zip(json_row.values(), cells):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert format(value, ".17g") == cell and float(cell) == value
+            else:
+                assert str(value) == cell
+    return json_rows
 
 
 @pytest.fixture
@@ -196,6 +218,14 @@ class TestEvalHyperbolic:
         content = target.read_bytes()
         assert content.startswith(b"t,n,x,q\n")
         assert b"\r" not in content
+
+    @pytest.mark.parametrize("target", ["missing/dir/rows.csv", "."])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, target):
+        # ended in a FileNotFoundError / IsADirectoryError traceback, exit 1
+        path = str(tmp_path / target)
+        rc, out, err = run_cli(capsys, ["eval-hyperbolic", "--x", "1", "--output", path])
+        assert (rc, out) == (2, "")
+        assert f"cannot write output file {path!r}" in err
 
     def test_usage_error_bad_grid(self, capsys):
         rc, _, err = run_cli(capsys, ["eval-hyperbolic", "--grid", "x=bad"])
@@ -518,6 +548,21 @@ class TestEvalAds:
         assert len(out.splitlines()) == 7
         assert geometry_calls == expected * 2
 
+    def test_json_rows_are_the_csv_rows(self, capsys, monkeypatch):
+        # route_discrepancy is an np.float64, which json writes as a float
+        payloads = []
+        real = cli._write_json
+
+        def spy(payload, path):
+            payloads.append(payload)
+            real(payload, path)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        argv = ["eval-ads", "--t", "0.8", "--d", "0.5", "--grid", "theta=0,1.3"]
+        rows = assert_json_rows_are_csv_rows(capsys, argv)
+        assert all(isinstance(r["route_discrepancy"], np.float64) for r in payloads[0]["rows"])
+        assert [r["theta"] for r in rows] == [0.0, 1.3]
+
     def test_route_discrepancy_small(self, capsys):
         rc, out, _ = run_cli(capsys, ["eval-ads", "--t", "0.8", "--d", "0.5"])
         assert rc == 0
@@ -633,6 +678,27 @@ class TestIdentityCommand:
         assert "--k-max must be an integer >= 1" in err
         assert out == ""
 
+    def test_json_rows_are_the_csv_rows(self, capsys):
+        rows = assert_json_rows_are_csv_rows(capsys, ["identity", "--grid", "m=0,3", "--grid", "u=0.5,2"])
+        assert [r["identity"] for r in rows] == ["gauss-cosh"] * 4 + ["theta"] * 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # math.cosh(800) raised OverflowError: a traceback, exit 1
+            (["--which", "gauss-cosh", "--m", "3", "--u", "800"], "max(m, 1)*|u| <= 709, got m=3,"),
+            (["--which", "gauss-cosh", "--m", "12", "--u", "60"], "max(m, 1)*|u| <= 709, got m=12,"),
+            # printed -inf/inf with exit 0 and a RuntimeWarning
+            (["--which", "theta", "--t", "0.001", "--u", "5"], "out of double range"),
+        ],
+        ids=["gauss-cosh-u800", "gauss-cosh-m12-u60", "theta-t0.001"],
+    )
+    def test_outside_double_range_exits_2(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, ["identity"] + argv)
+        assert (rc, out) == (2, "")
+        assert message in err
+
     def test_gauss_only_filter(self, capsys):
         rc, out, _ = run_cli(capsys, ["identity", "--which", "gauss-cosh"])
         assert rc == 0
@@ -698,6 +764,13 @@ class TestVerifyCommand:
         assert rc == 0
         assert json.loads(out)["seed"] == 2**53 + 1
 
+    def test_output_to_a_directory_is_a_usage_error(self, capsys, tmp_path):
+        # the report was computed, then open() raised IsADirectoryError: exit 1
+        argv = ["verify", "--suite", "radial-pde", "--output", str(tmp_path)]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert f"cannot write output file {str(tmp_path)!r}" in err
+
     def test_deterministic_for_seed(self, capsys):
         argv = ["verify", "--suite", "subordination", "--seed", "9"]
         rc1, out1, _ = run_cli(capsys, argv)
@@ -757,6 +830,34 @@ class TestConfigFile:
             rc, out, err = run_cli(capsys, base + extra)
             assert (rc, out) == (2, "")
             assert "expected an integer" in err
+
+
+class TestValueSources:
+    """A bad value's message names the flag, grid entry or config key it came from."""
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["eval-ads", "--t", "abc"], None, "--t: expected a number, got 'abc'"),
+            (["eval-hyperbolic", "--format", "xml"], None, "--format: expected one of csv, json; got 'xml'"),
+            (["eval-ads", "--grid", "t=0.5,abc"], None, "--grid t=0.5,abc: expected a number, got 'abc'"),
+            (["eval-hyperbolic", "--grid", "x=0:abc:3"], None, "--grid x=0:abc:3: expected a number, got 'abc'"),
+            (["eval-hyperbolic", "--grid", "x=0:1:abc"], None, "--grid x=0:1:abc: expected a number, got 'abc'"),
+            (["eval-maass"], "max_nodes = 1.5\n", "{cfg}: max_nodes: expected an integer, got '1.5'"),
+            (["eval-hyperbolic"], "format = JSON\n", "{cfg}: format: expected one of csv, json; got 'JSON'"),
+            (["eval-hyperbolic"], "grid = n=1,2 ; x=0,bad\n", "{cfg}: grid x=0,bad: expected a number"),
+        ],
+        ids=["flag", "format flag", "grid value", "grid endpoint", "grid count", "config line",
+             "config format", "config grid"],
+    )
+    def test_bad_value_is_named_by_its_source(self, capsys, tmp_path, argv, config, message):
+        cfg = tmp_path / "run.cfg"
+        if config is not None:
+            cfg.write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(cfg)]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert f"error: {message.format(cfg=cfg)}" in err
 
 
 class TestSubprocessEntry:

@@ -741,3 +741,26 @@ class TestThetaIdentity:
     def test_k_terms_validation(self):
         with pytest.raises(ValueError):
             theta_identity_lhs(1.0, 0.0, 0.0, -1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "side, args",
+        [
+            (theta_identity_lhs, (0.001, 5.0, 0.7, 12)),  # (u^2 - theta^2)/(4t) = 6127.5
+            (theta_identity_lhs, (1e-310, 1.0, 0.3, 12)),  # the exponent itself overflows
+            (theta_identity_lhs, (1.0, math.inf, 0.0, 3)),
+            (theta_identity_rhs, (1.0, 100.0, 0.7, 12)),  # -t k^2 + k u = 1056 at k = 12
+            (theta_identity_rhs, (1.0, 0.0, math.nan, 3)),
+        ],
+        ids=["lhs-t0.001-u5", "lhs-t1e-310", "lhs-u-inf", "rhs-u100", "rhs-theta-nan"],
+    )
+    def test_sum_out_of_double_range_raises(self, side, args):
+        # the sides returned inf or NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="out of double range"):
+            side(*args)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_near_the_limit_stays_finite(self):
+        # peak exponents 676 and 564: huge but representable sums are not refused
+        for value in (theta_identity_lhs(1.0, 52.0, 0.0, 12), theta_identity_rhs(1.0, 59.0, 0.7, 12)):
+            assert math.isfinite(abs(value)) and abs(value) > 1e200
