@@ -115,6 +115,20 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return convert
 
 
+def _checked(convert: Callable[[Any], Any], check: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``convert``, then the library's range ``check``, whose ValueError becomes a UsageError."""
+
+    def convert_and_check(raw: Any) -> Any:
+        value = convert(raw)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return value
+
+    return convert_and_check
+
+
 def _convert(convert: Callable[[Any], Any], raw: Any, source: str) -> Any:
     """``convert(raw)``, its error led by ``source``: a flag, grid entry or config key."""
     try:
@@ -133,11 +147,20 @@ class _Param:
     help: str = ""
 
 
+# range errors are raised at conversion, so that they too are led by their source
 _TOL_PARAMS: dict[str, _Param] = {
-    "abs_tol": _Param(_conv_float, QuadratureConfig.abs_tol, help="quadrature absolute tolerance"),
-    "rel_tol": _Param(_conv_float, QuadratureConfig.rel_tol, help="quadrature relative tolerance"),
+    "abs_tol": _Param(
+        _checked(_conv_float, lambda v: QuadratureConfig(abs_tol=v)),
+        QuadratureConfig.abs_tol,
+        help="quadrature absolute tolerance",
+    ),
+    "rel_tol": _Param(
+        _checked(_conv_float, lambda v: QuadratureConfig(rel_tol=v)),
+        QuadratureConfig.rel_tol,
+        help="quadrature relative tolerance",
+    ),
     "max_nodes": _Param(
-        _conv_int,
+        _checked(_conv_int, lambda v: QuadratureConfig(max_nodes=v)),
         QuadratureConfig.max_nodes,
         help="quadrature node budget per integral; one may serve a row group",
     ),
@@ -178,8 +201,16 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
         "theta": _Param(_conv_float, 0.0, gridable=True, help="fiber angle"),
         "w": _W,
         "y": _Y,
-        "eps_tail": _Param(_conv_float, SeriesConfig.eps_tail, help="series tail cutoff"),
-        "k_max": _Param(_conv_int, None, help="pin the series at |k| <= k_max"),
+        "eps_tail": _Param(
+            _checked(_conv_float, lambda v: SeriesConfig(eps_tail=v)),
+            SeriesConfig.eps_tail,
+            help="series tail cutoff",
+        ),
+        "k_max": _Param(
+            _checked(_conv_int, lambda v: SeriesConfig(k_max_override=v)),
+            None,
+            help="pin the series at |k| <= k_max",
+        ),
         "normalization": _Param(
             _choice("series", "theorem"),
             "series",
@@ -216,6 +247,9 @@ _GRID_ORDER: dict[str, tuple[str, ...]] = {
     command: tuple(name for name, param in params.items() if param.gridable)
     for command, params in _COMMAND_PARAMS.items()
 }
+
+# config keys some subcommand reads
+_KNOWN_KEYS = {name for params in _COMMAND_PARAMS.values() for name in params}
 
 _CSV_HEADERS: dict[str, tuple[str, ...]] = {
     "eval-hyperbolic": _GRID_ORDER["eval-hyperbolic"] + ("q",),
@@ -286,11 +320,10 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
     params = _COMMAND_PARAMS[command]
     config = _read_config_file(args.config) if args.config else {}
     config_grid = [s.strip() for s in config.pop("grid", "").split(";") if s.strip()]
-    known_anywhere = {k for table in _COMMAND_PARAMS.values() for k in table}
     for key in config:
         # keys for other subcommands are tolerated so one config file can
         # serve a whole pipeline; typos are still caught
-        if key not in known_anywhere:
+        if key not in _KNOWN_KEYS:
             raise UsageError(f"unknown config key {key!r}")
 
     grids: dict[str, list[Any]] = {}
@@ -440,6 +473,7 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
         angles = [f + twist for f in fibers]
         detail = ads_kernel_series_detail(t, n, dist, angles[0], series_cfg, quad)
         integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
+        terms = 2 * detail.modes_used + 1
 
         def row(p: dict[str, Any], fiber: float, angle: float, integral: float) -> dict[str, Any]:
             series = detail.at_angle(angle).value
@@ -450,7 +484,7 @@ def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
                 "theta": fiber,
                 "re(s)": s.real,
                 "im(s)": s.imag,
-                "series_terms_used": 2 * detail.modes_used + 1,
+                "series_terms_used": terms,
                 "route_discrepancy": abs(integral - series / TWO_PI),
             }
 

@@ -52,9 +52,7 @@ theta, so a theta sweep reuses them.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,16 +109,17 @@ _U_CAP = 700.0
 # tolerances of the radial profile; abs_tol also sets its truncation point
 _PROFILE_QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12)
 
+# shifted copies k of the integral route: |k| <= 64 may be summed, |k| = 65 bounds the
+# rest; k = 0 and -1, the nearest of each angle in [0, 2pi), are always summed
+_COPIES = np.arange(-65, 66)
+_COPY_SHIFTS = 2.0 * math.pi * _COPIES
+_NEAREST_COPIES = (_COPIES == 0) | (_COPIES == -1)
+_SUMMED_COPIES = abs(_COPIES) < 65
 
-@contextmanager
-def _labelled(label: str) -> Iterator[None]:
-    """Prefix a ConvergenceError raised inside the block with ``label``."""
-    try:
-        yield
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"{label}: {exc}", value=exc.value, error_estimate=exc.error_estimate
-        ) from exc
+
+def _labelled(exc: ConvergenceError, label: str) -> ConvergenceError:
+    """``exc`` with ``label`` in front of its message, its estimates kept."""
+    return ConvergenceError(f"{label}: {exc}", value=exc.value, error_estimate=exc.error_estimate)
 
 
 def _validate_query(query) -> None:
@@ -206,7 +205,8 @@ class AdsSeriesResult:
         total = self.damped_modes[0]
         for k, mode in enumerate(self.damped_modes[1:], 1):
             total += 2.0 * math.cos(k * theta_eff) * mode
-        return replace(self, value=complex(total, 0.0))
+        value = complex(total, 0.0)
+        return AdsSeriesResult(value, self.modes_used, self.tail_estimate, self.damped_modes)
 
 
 def _mode_u_max(t: float, m: int, abs_tol: float) -> float:
@@ -239,28 +239,30 @@ def _cosh_mode_integral(t: float, n: int, m, d, cfg: QuadratureConfig, shift=0.0
     nothing overflows for any mode.  Each row is 0 past its own u = 700 - d,
     short of where cosh u cosh d overflows; the integrand is negligible there.
     """
-    m = np.asarray(m)
-    rows = (m.size, np.size(d))
+    m, d = np.asarray(m), np.asarray(d, dtype=float)
+    rows = (m.size, d.size)
     col = m[:, None, None]
     shift = np.reshape(shift, (-1, 1, 1)) if np.ndim(shift) else shift
-    d = np.asarray(d, dtype=float)[:, None]
+    d = d[:, None]
     cosh_d, u_stop = np.cosh(d), _U_CAP - d
-    u_max = min(_mode_u_max(t, int(np.max(m)), cfg.abs_tol), float(np.max(u_stop)))
-    cut = float(np.min(u_stop)) < u_max
+    u_max = min(_mode_u_max(t, int(m.max()), cfg.abs_tol), float(u_stop.max()))
+    cut = float(u_stop.min()) < u_max
     radial = m.tolist() == [0]  # one mode, 0: the two exponentials coincide
+    four_t, neg_col = 4.0 * t, -col
 
     def integrand(u: np.ndarray) -> np.ndarray:
         if cut:
             live, u = u <= u_stop, np.minimum(u, u_stop)
         x = _fiber_distance(np.cosh(u), cosh_d)
-        g = x * x / (4.0 * t) + shift
-        modes = 2.0 * np.exp(-g) if radial else np.exp(col * u - g) + np.exp(-col * u - g)
+        g = x * x / four_t + shift
+        modes = 2.0 * np.exp(-g) if radial else np.exp(col * u - g) + np.exp(neg_col * u - g)
         v = hyperbolic_heat_kernel_scaled(t, n, x) * modes
         if cut:
             v = np.where(live, v, 0.0)
         return v.reshape(-1, x.shape[-1])
 
-    return adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg).value.reshape(rows)
+    res = adaptive_gauss_kronrod(integrand, 0.0, u_max, cfg, components=m.size * d.size)
+    return res.value.reshape(rows)
 
 
 def _direct_integral(t: float, n: int, m: np.ndarray, d: np.ndarray, cfg: QuadratureConfig):
@@ -292,19 +294,21 @@ def _direct_integral(t: float, n: int, m: np.ndarray, d: np.ndarray, cfg: Quadra
     u_max = min(_mode_u_max(t, int(m.max()), cfg.abs_tol), _U_CAP - float(np.min(far)))
     cut = float(np.max(far)) + u_max > _U_CAP
     r_max, r_turn = math.sqrt(u_max), 16.0 * math.sqrt(2.0 * float(np.min(far)))
+    kappa = m / 2
 
     def integrand(r: np.ndarray) -> np.ndarray:
         x = np.maximum(far + r * r, floor)
         if cut:
             live, x = x <= _U_CAP, np.minimum(x, _U_CAP)
         jacobian_sinh = 2.0 * np.sqrt(x - far) * np.sinh(x)
-        v = jacobian_sinh * spectral_cosh_factor(x, far, m / 2) * hyperbolic_heat_kernel(t, n, x)
+        v = jacobian_sinh * spectral_cosh_factor(x, far, kappa) * hyperbolic_heat_kernel(t, n, x)
         if cut:
             v = np.where(live, v, 0.0)
         return v.reshape(-1, x.shape[-1])
 
     points = sorted({*np.linspace(0.0, r_max, 9)[1:-1], r_turn}) if r_turn < r_max else ()
-    return 2.0 * adaptive_gauss_kronrod(integrand, 0.0, r_max, cfg, points).value.reshape(rows)
+    res = adaptive_gauss_kronrod(integrand, 0.0, r_max, cfg, points, components=m.size * d.size)
+    return 2.0 * res.value.reshape(rows)
 
 
 def _validate_distances(d_values) -> np.ndarray:
@@ -476,8 +480,11 @@ def ads_kernel_series_detail(
         lo = len(modes)
         hi = min(hi, lo + MAX_FIBER_MODES)  # binds only a pinned count: bounds the arrays
         ks = np.arange(lo, hi + 1)
-        with _labelled(f"fiber modes k={lo}..{hi}"):
-            modes += _cosh_mode_integral(t, n, ks, [d], q_cfg, shift=t * ks * ks)[:, 0].tolist()
+        try:
+            block = _cosh_mode_integral(t, n, ks, [d], q_cfg, shift=t * ks * ks)
+        except ConvergenceError as exc:
+            raise _labelled(exc, f"fiber modes k={lo}..{hi}") from exc
+        modes += block[:, 0].tolist()
         stops = [j for j in range(max(lo, first), hi + 1) if pinned or 2.0 * abs(modes[j]) < eps]
         if stops:
             break
@@ -541,47 +548,60 @@ def ads_kernel_integral(
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()
     # below t = 1/4pi the (4 pi t)^(-1/2) factor magnifies what the cosine pass leaves
-    pass_cfg = replace(q_cfg, abs_tol=q_cfg.abs_tol * min(1.0, math.sqrt(4.0 * math.pi * t)))
-    cosh_d, u_stop = math.cosh(d), _U_CAP - d
+    pass_tol = q_cfg.abs_tol * min(1.0, math.sqrt(4.0 * math.pi * t))
+    pass_cfg = QuadratureConfig(pass_tol, q_cfg.rel_tol, q_cfg.max_nodes)
+    cosh_d, u_stop, four_t = math.cosh(d), _U_CAP - d, 4.0 * t
 
     def envelope(u: np.ndarray) -> np.ndarray:
         x = _fiber_distance(np.cosh(u), cosh_d)
         return hyperbolic_heat_kernel_scaled(t, n, x) * np.exp(
-            (u * u - x * x) / (4.0 * t)
+            (u * u - x * x) / four_t
         )
 
     # the first of u0, u0 + 1, (u0 + 1) + 1, ... (rounded stepwise) past 400 or with
-    # a negligible envelope; all stop by u = 700 - d, short of where cosh u cosh d overflows
+    # a negligible envelope; all stop by u = 700 - d, short of where cosh u cosh d overflows.
+    # The envelope is taken 64 candidates a call: the first call stops unless abs_tol is tiny
     u0 = _mode_u_max(t, 0, q_cfg.abs_tol)
-    steps = [u0] + [1.0] * (max(0, math.ceil(min(400.0, u_stop) - u0)) + 1)
+    steps = np.ones(max(0, math.ceil(min(400.0, u_stop) - u0)) + 2)
+    steps[0] = u0
     candidates = np.minimum(np.cumsum(steps), u_stop)
-    above = (envelope(candidates[:-1]) > 0.01 * q_cfg.abs_tol) & (candidates[:-1] < 400.0)
-    u_max = float(candidates[np.argmin(np.append(above, False))])
+    u_max = float(candidates[-1])
+    for i in range(0, candidates.size - 1, 64):
+        part = candidates[i : min(i + 64, candidates.size - 1)]
+        above = (envelope(part) > 0.01 * q_cfg.abs_tol) & (part < 400.0)
+        if not above.all():
+            u_max = float(part[np.argmin(above)])
+            break
 
     env_int = adaptive_gauss_kronrod(envelope, 0.0, u_max, q_cfg)
     j_bound = 2.0 * abs(env_int.value)
     threshold = 0.05 * min(s_cfg.eps_tail, 1e-6)
 
-    ks = np.arange(-65, 66)
-
     def cosine_pass(block: np.ndarray) -> np.ndarray:
-        # copies k = 0, -1 (the nearest of each angle in [0, 2pi)) and, up to |k| = 64,
-        # every other whose weight times the integral of F matters; |k| = 65 bounds the rest
-        theta_k = block[:, None] + 2.0 * math.pi * ks
-        gauss = np.exp(-theta_k * theta_k / (4.0 * t))
-        keep = ((gauss * j_bound >= threshold) | (ks == 0) | (ks == -1)) & (abs(ks) < 65)
-        freq, weight = (theta_k[keep] / (2.0 * t))[:, None], (2.0 * gauss[keep])[:, None]
+        # copies k = 0, -1 and, up to |k| = 64, every other whose weight times the
+        # integral of F matters
+        theta_k = block[:, None] + _COPY_SHIFTS
+        gauss = np.exp(-theta_k * theta_k / four_t)
+        keep = ((gauss * j_bound >= threshold) | _NEAREST_COPIES) & _SUMMED_COPIES
+        kept = gauss[keep]
+        freq, weight = (theta_k[keep] / (2.0 * t))[:, None], (2.0 * kept)[:, None]
         # starting panels no wider than a period of the fastest cosine whose component
         # may pass abs_tol: on wider ones Gauss and Kronrod can miss it alike
-        fast = np.abs(freq[gauss[keep] * j_bound > 0.5 * pass_cfg.abs_tol]).max(initial=0.0)
-        edges = np.linspace(0.0, u_max, max(8, math.ceil(u_max * fast / (2.0 * math.pi))) + 1)
+        fast = np.abs(freq[kept * j_bound > 0.5 * pass_cfg.abs_tol]).max(initial=0.0)
+        panels = max(8, math.ceil(u_max * fast / (2.0 * math.pi)))
+        step = u_max / panels  # the inner points of np.linspace(0, u_max, panels + 1)
 
         def integrand(u: np.ndarray) -> np.ndarray:
             return envelope(u) * weight * np.cos(freq * u)
 
-        shown = ", ".join(map(repr, block[:3].tolist())) + (", ..." if block.size > 3 else "")
-        with _labelled(f"shifted copies at theta={shown}"):
-            res = adaptive_gauss_kronrod(integrand, 0.0, u_max, pass_cfg, edges[1:-1])
+        try:
+            res = adaptive_gauss_kronrod(
+                integrand, 0.0, u_max, pass_cfg, [i * step for i in range(1, panels)],
+                components=len(freq),
+            )
+        except ConvergenceError as exc:
+            shown = ", ".join(map(repr, block[:3].tolist())) + (", ..." if block.size > 3 else "")
+            raise _labelled(exc, f"shifted copies at theta={shown}") from exc
         values = np.bincount(np.nonzero(keep)[0], res.value) / math.sqrt(4.0 * math.pi * t)
         if (bad := np.flatnonzero(keep[:, 1] | keep[:, -2])).size:
             i = bad[0]

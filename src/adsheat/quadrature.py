@@ -11,7 +11,9 @@ Integrands must be vectorized: called with the N nodes of a whole wave, they
 return a (C, N) array (real or complex) for C components on shared panels,
 or N values for one component.  One call holds at most 512 (component,
 panel) rows of 15 values, and one panel at least, so a wave of a large C
-takes several calls; the first call is one panel, which fixes C.  Each
+takes several calls.  The caller states C, and the first call holds one
+panel more than that allows: a quadrature whose starting panels fit makes
+one call, and the shape it returns fixes C for all later ones.  Each
 component must meet its own target, max(abs_tol, rel_tol * |I_c|), and a
 panel ranks by its worst component error in units of the targets after the
 starting panels.  A one-component integrand of shape (N,) gets scalars back.
@@ -124,9 +126,10 @@ GAUSS_EMBEDDED_WEIGHTS[[9, 11, 13]] = _WG[::-1]
 _NODES_PER_PANEL = 15
 # the Kronrod and embedded Gauss weights side by side: one matmul gives both
 _RULES = np.stack([KRONROD_WEIGHTS, GAUSS_EMBEDDED_WEIGHTS], axis=1)
-# (component, panel) rows of 15 values in one integrand call, and the block of
-# distances or angles the kernels pass the engine: it bounds the (rows, nodes)
-# temporaries, which waves of every popped panel would let grow with the block
+# (component, panel) rows of 15 values in one integrand call (the first may hold
+# one panel more), and the block of distances or angles the kernels pass the
+# engine: it bounds the (rows, nodes) temporaries, which waves of every popped
+# panel would let grow with the block
 _CALL_ROWS = 512
 
 
@@ -136,6 +139,8 @@ def adaptive_gauss_kronrod(
     b: float,
     config: QuadratureConfig | None = None,
     points=(),
+    *,
+    components: int = 1,
 ) -> IntegrationResult:
     """Integrate a vectorized integrand over [a, b] to the configured tolerance.
 
@@ -146,6 +151,16 @@ def adaptive_gauss_kronrod(
     Raises :class:`ConvergenceError` (with the best estimate attached) if
     ``config.max_nodes`` evaluations are not enough or the running value or
     error estimate stops being finite.
+
+    ``components`` states the integrand's C and only sizes calls: the first
+    holds one panel more than the 512 // C of each later call, so that a
+    quadrature whose starting panels fit makes one call.  A C stated too
+    small only makes the first call larger.  The shape the first call
+    returns fixes C, and every call is checked against it.  The first panel
+    is reduced by a matmul of its own and the rest of the first call by
+    another, so every Kronrod/Gauss reduction keeps the row groups of a lone
+    first panel followed by full calls: BLAS rounds a lone row, and the odd
+    last row of a group, differently from the rows of a larger group.
     """
     cfg = config or QuadratureConfig()
     a = float(a)
@@ -154,37 +169,46 @@ def adaptive_gauss_kronrod(
         raise ValueError("integration endpoints must be finite")
     if a == b:  # one call at the coincident nodes learns the components' shape
         with np.errstate(all="ignore"):  # the values themselves are not used
-            components = np.shape(f(np.full(_NODES_PER_PANEL, a)))[:-1]
-        if not components:
+            shape = np.shape(f(np.full(_NODES_PER_PANEL, a)))[:-1]
+        if not shape:
             return IntegrationResult(0.0, 0.0, _NODES_PER_PANEL, 0)
-        return IntegrationResult(np.zeros(components), np.zeros(components), _NODES_PER_PANEL, 0)
-    edges = np.array([a, *points, b], dtype=float) if len(points) else np.linspace(a, b, 9)
-    if not (np.all(np.diff(edges) > 0.0) or np.all(np.diff(edges) < 0.0)):
+        return IntegrationResult(np.zeros(shape), np.zeros(shape), _NODES_PER_PANEL, 0)
+    if len(points):
+        edges = [a, *map(float, points), b]
+    else:  # the bits of np.linspace(a, b, 9)
+        step = (b - a) / 8.0
+        edges = [a + i * step for i in range(8)] + [b]
+    pairs = list(zip(edges, edges[1:]))
+    if not (all(x < y for x, y in pairs) or all(x > y for x, y in pairs)):
         raise ValueError("points must lie strictly between a and b, in order")
 
-    shape = None  # the first call, on one panel, fixes the components for all later ones
+    shape = None  # the first call fixes the components for all later ones
+    # panels of the first call: at least 2, as there are at least 2 starting panels
+    panels = max(1, _CALL_ROWS // max(1, components)) + 1
     evaluated = 0  # panels evaluated so far; also numbers them for the heap's ties
 
     def evaluate(lo: list, hi: list) -> tuple:
         """Kronrod values and error estimates, (P, C) each, of the P panels [lo, hi]."""
-        nonlocal shape, evaluated
+        nonlocal shape, panels, evaluated
         lo, hi = np.array(lo), np.array(hi)
         half = 0.5 * (hi - lo)[:, None]
         nodes = 0.5 * (lo + hi)[:, None] + half * KRONROD_NODES
         rules, i = [], 0
-        while i < lo.size:  # at most _CALL_ROWS (component, panel) rows a call, one panel at least
-            j = i + max(1, _CALL_ROWS // math.prod(shape)) if shape is not None else 1
-            x = nodes[i:j].ravel()
+        while i < lo.size:  # _CALL_ROWS (component, panel) rows a call, the first one panel more
+            x = nodes[i : i + panels].ravel()
             fv = np.asarray(f(x))
             if fv.shape[-1:] != x.shape or fv.ndim > 2 or shape not in (None, fv.shape[:-1]):
                 raise ValueError(
                     f"integrand must give shape (N,) or (C, N) for its N nodes, the same C "
                     f"on every call; got {fv.shape} for N = {x.size}"
                 )
+            # the first call's first panel is reduced alone, as when it was a call of its own
+            for part in (fv[..., :15], fv[..., 15:]) if shape is None else (fv,):
+                rows = (part.reshape(-1, 15) @ _RULES).reshape(-1, part.shape[-1] // 15, 2)
+                rules.append(np.ascontiguousarray(rows.T))  # (2, p, C): strided rows reduce slowly
             shape = fv.shape[:-1]
-            rows = (fv.reshape(-1, 15) @ _RULES).reshape(-1, x.size // 15, 2)
-            rules.append(np.ascontiguousarray(rows.T))  # (2, p, C): strided rows reduce slowly
-            evaluated, i = evaluated + x.size // 15, j
+            evaluated, i = evaluated + x.size // 15, i + panels
+            panels = max(1, _CALL_ROWS // math.prod(shape))
         kronrod, gauss = rules[0] if len(rules) == 1 else np.concatenate(rules, axis=1)
         val = half * kronrod
         return val, abs(val - half * gauss)
@@ -201,17 +225,11 @@ def adaptive_gauss_kronrod(
     # overflow and NaN in the integrand surface as a non-finite total,
     # which raises below; numpy's own warnings for them would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi, heap, scale = edges[:-1].tolist(), edges[1:].tolist(), [], None
+        lo, hi, heap, scale = edges[:-1], edges[1:], [], None
         total = total_err = 0.0
         while True:
             val, err = evaluate(lo, hi)  # one wave: the starting panels, then the children
             total, total_err = total + val.sum(axis=0), total_err + err.sum(axis=0)
-            if scale is None:  # a panel ranks by its worst component error in units of the targets
-                scale = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-            keys = (-(err / scale).max(axis=1)).tolist()
-            for entry in zip(keys, range(evaluated - len(lo), evaluated), lo, hi, val, err):
-                heapq.heappush(heap, entry)
-
             target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
             worst = (total_err / target).max()
             # converged, or not finite: NaN and inf/inf land here, and neither a
@@ -223,7 +241,12 @@ def adaptive_gauss_kronrod(
                         "(running value {v}, error estimate {e})"
                     )
                 if worst <= 1.0:
-                    break
+                    break  # the last wave's panels are counted, never ranked
+            if scale is None:  # a panel ranks by its worst component error in units of these
+                scale = target
+            keys = (-(err / scale).max(axis=1)).tolist()
+            for entry in zip(keys, range(evaluated - len(lo), evaluated), lo, hi, val, err):
+                heapq.heappush(heap, entry)
             room = cfg.max_nodes // _NODES_PER_PANEL - evaluated  # panels the budget allows
             if room < 2:
                 raise failure(
@@ -242,8 +265,10 @@ def adaptive_gauss_kronrod(
             lo = [x for p in wave for x in (p[2], 0.5 * (p[2] + p[3]))]
             hi = [x for p in wave for x in (0.5 * (p[2] + p[3]), p[3])]
 
-    value = unwrap(total if np.any(total.imag != 0.0) else total.real)
-    return IntegrationResult(value, unwrap(total_err), _NODES_PER_PANEL * evaluated, len(heap))
+    if total.dtype.kind == "c" and not total.imag.any():
+        total = total.real
+    n_evals, n_panels = _NODES_PER_PANEL * evaluated, len(heap) + len(lo)
+    return IntegrationResult(unwrap(total), unwrap(total_err), n_evals, n_panels)
 
 
 @lru_cache(maxsize=None)

@@ -159,7 +159,7 @@ def millson_term_sum(n: int) -> GaussianTermSum:
 
 @lru_cache(maxsize=None)
 def _term_arrays(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Float arrays (coeff, tpow) and the (base, exponents) factors for order n.
+    """Float arrays (coeff, -tpow) and the (base, exponents) factors for order n.
 
     The factors are x^xpow, coth^coshpow and sinh^-(sinhinvpow - coshpow),
     the sinh power left after pairing each cosh with a sinh to form coth.
@@ -168,7 +168,7 @@ def _term_arrays(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """
     ts = millson_term_sum(n).terms
     coeff = np.array([float(t.coeff) for t in ts])
-    tpow = np.array([t.tpow for t in ts], dtype=float)
+    neg_tpow = -np.array([t.tpow for t in ts], dtype=float)
     xpow = np.array([t.xpow for t in ts], dtype=float)
     cothpow = np.array([t.coshpow for t in ts], dtype=float)
     net = np.array([t.sinhinvpow - t.coshpow for t in ts], dtype=float)
@@ -177,7 +177,7 @@ def _term_arrays(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     bases = (lambda y: y, lambda y: 1.0 / np.tanh(y), np.sinh)
     powers = (xpow, cothpow, -net)
     factors = tuple((b, None if np.all(p == 1.0) else p) for b, p in zip(bases, powers) if p.any())
-    return coeff, tpow, factors
+    return coeff, neg_tpow, factors
 
 
 def heat_prefactor(t: float, n: int) -> float:
@@ -187,9 +187,9 @@ def heat_prefactor(t: float, n: int) -> float:
 
 def _term_sum_values(n: int, t: float, x: np.ndarray) -> np.ndarray:
     """Evaluate the order-n term sum (without Gaussian or prefactor) at x > 0."""
-    coeff, tpow, factors = _term_arrays(n)
+    coeff, neg_tpow, factors = _term_arrays(n)
     xc = x[:, None]
-    parts = coeff * t ** (-tpow)
+    parts = coeff * t**neg_tpow
     with np.errstate(over="ignore"):
         for base, power in factors:
             b = base(xc)
@@ -290,9 +290,9 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
             "terms leave double-precision range"
         )
     x_arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x_arr).ravel()
+    flat = x_arr.reshape(-1)
     # NaN propagates through min and max, so it fails this test as well
-    lo, hi = (flat.min(), flat.max()) if flat.size else (math.inf, 0.0)
+    lo, hi = (float(flat.min()), float(flat.max())) if flat.size else (math.inf, 0.0)
     if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("distance x must be finite and >= 0")
 
@@ -308,7 +308,8 @@ def _eval_kernel(t: float, n: int, x, scaled: bool):
         with np.errstate(over="ignore"):  # an exponent past double range is dead too
             return ok & (y * y / (4.0 * t) <= GAUSS_EXP_CUTOFF)
 
-    all_live = live(hi)
+    # the same test on the largest point, in floats: an overflow there is inf, dead
+    all_live = hi <= _SINH_FINITE_MAX and (scaled or hi * hi / (4.0 * t) <= GAUSS_EXP_CUTOFF)
     if lo >= switch and all_live:
         vals = _term_sum_values(n, t, flat)
     else:

@@ -20,6 +20,7 @@ rational it represents.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -53,17 +54,25 @@ def gauss_2f1_terminating(m: int, x_arg: float) -> float:
     Evaluated in exact rational arithmetic with a single final rounding, so
     the result is the correctly rounded value of the polynomial at the exact
     binary rational ``x_arg`` represents.  Agrees with
-    ``chebyshev_T(m, 1 - 2*x_arg)`` to full precision.
+    ``chebyshev_T(m, 1 - 2*x_arg)`` to full precision.  Raises ValueError
+    for a non-finite ``x_arg`` and for a value outside double range.
     """
     m = require_int(m, "polynomial degree", 0)
-    x = Fraction(float(x_arg))
+    if not math.isfinite(x_arg := float(x_arg)):
+        raise ValueError(f"argument must be finite, got {x_arg!r}")
+    x = Fraction(x_arg)
     total = Fraction(1)
     term = Fraction(1)
     for j in range(m):
         # ratio of consecutive terms: (j - m)(j + m) x / ((j + 1/2)(j + 1))
         term *= Fraction(2 * (j - m) * (j + m), (2 * j + 1) * (j + 1)) * x
         total += term
-    return float(total)
+    try:
+        return float(total)
+    except OverflowError:
+        raise ValueError(
+            f"2F1(-{m}, {m}; 1/2; {x_arg!r}) is outside double range (|value| > 1.8e308)"
+        ) from None
 
 
 def spectral_cosh_factor(x, d, kappa):

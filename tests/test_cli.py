@@ -846,9 +846,17 @@ class TestValueSources:
             (["eval-maass"], "max_nodes = 1.5\n", "{cfg}: max_nodes: expected an integer, got '1.5'"),
             (["eval-hyperbolic"], "format = JSON\n", "{cfg}: format: expected one of csv, json; got 'JSON'"),
             (["eval-hyperbolic"], "grid = n=1,2 ; x=0,bad\n", "{cfg}: grid x=0,bad: expected a number"),
+            # range errors of the library's configs, raised after conversion
+            (["eval-ads", "--k-max", "-1"], None, "--k-max: k_max_override must be an integer >= 0, got -1"),
+            (["eval-maass", "--abs-tol", "2"], None, "--abs-tol: abs_tol must be in (0, 1), got 2.0"),
+            (["eval-maass"], "abs_tol = 2\n", "{cfg}: abs_tol: abs_tol must be in (0, 1), got 2.0"),
+            (["eval-ads", "--rel-tol", "0"], None, "--rel-tol: rel_tol must be in (0, 1), got 0.0"),
+            (["eval-ads"], "max_nodes = 10\n", "{cfg}: max_nodes: max_nodes must be an int >= 60, got 10"),
+            (["eval-ads", "--eps-tail", "1.5"], None, "--eps-tail: eps_tail must be in (0, 1), got 1.5"),
         ],
         ids=["flag", "format flag", "grid value", "grid endpoint", "grid count", "config line",
-             "config format", "config grid"],
+             "config format", "config grid", "k_max range", "abs_tol range", "abs_tol config range",
+             "rel_tol range", "max_nodes config range", "eps_tail range"],
     )
     def test_bad_value_is_named_by_its_source(self, capsys, tmp_path, argv, config, message):
         cfg = tmp_path / "run.cfg"

@@ -101,6 +101,28 @@ class TestMaassRoutes:
             with pytest.raises(ConvergenceError):
                 maass_kernel_direct(MaassKernelQuery(1.0, 1, 7.0, w, y))
 
+    def test_one_integrand_call_per_quadrature_of_a_converging_row(self, monkeypatch):
+        # both routes converge on their eight starting panels: each quadrature takes
+        # them in one call (the engine that learned C from a lone first panel made two)
+        calls = []
+        real = kernels.adaptive_gauss_kronrod
+
+        def spy(f, *args, **kwargs):
+            sizes = []
+            calls.append(sizes)
+
+            def counted(x):
+                sizes.append(len(x))
+                return f(x)
+
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "adaptive_gauss_kronrod", spy)
+        q = MaassKernelQuery(1.0, 1, 0.5, *pair_at(0.5))
+        maass_kernel_direct(q)
+        maass_kernel_substituted(q)
+        assert calls == [[120], [120]]
+
     def test_direct_delegates_near_diagonal(self):
         w = BallPoint((1e-12,))
         q = MaassKernelQuery(1.0, 1, 0.5, w, BallPoint.origin(1))
@@ -285,8 +307,8 @@ class TestWeightBatches:
         rows = []
         real = kernels.adaptive_gauss_kronrod
 
-        def spy(f, a, b, cfg, points=()):
-            result = real(f, a, b, cfg, points)
+        def spy(f, a, b, cfg, points=(), **kwargs):
+            result = real(f, a, b, cfg, points, **kwargs)
             rows.append(np.size(result.value))
             return result
 

@@ -76,6 +76,17 @@ class TestTerminating2F1:
         # 1 + (-m)(m)/(1/2) * x / 1 = 1 - 2x at m = 1
         assert gauss_2f1_terminating(1, 0.25) == pytest.approx(0.5, rel=1e-15)
 
+    def test_value_past_double_range_is_a_value_error(self):
+        # 2^22 x^12 = 4.2e366: the exact sum exists, its float does not
+        with pytest.raises(ValueError, match="outside double range"):
+            gauss_2f1_terminating(12, -1e30)
+        assert gauss_2f1_terminating(12, -1e20) == pytest.approx(2.0**23 * 1e240, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_is_a_value_error(self, x):
+        with pytest.raises(ValueError, match="must be finite"):
+            gauss_2f1_terminating(3, x)
+
     @given(
         st.integers(min_value=0, max_value=25),
         st.floats(min_value=0.0, max_value=5.0),
