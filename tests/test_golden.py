@@ -44,6 +44,14 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
     (["eval-ads", "--w", "0.3+0.1j", "--y", "0.2j", "--t", "0.9", "--theta", "0.4"], None),
     (["eval-ads", "--t", "1", "--d", "0.5", "--theta", "0.2", "--k-max", "3"], None),
     (["eval-ads", "--grid", "t=0.005,1", "--d", "0.3"], None),
+    # a signed zero prints as given: -0 and 0
+    (["eval-hyperbolic", "--grid", "x=-0.0,0"], None),
+    # the printed angle is the normalized one, not the input
+    (["eval-ads", "--t", "0.8", "--d", "0.5", "--grid", "theta=-1,7,6.283185307179586"], None),
+    # the direct route overflows at kappa 6.5 and 7: the group is retried one
+    # kappa at a time, then row by row; exit 3 with the 2 rows of kappa 0.5
+    (["eval-maass", "--t", "1", "--grid", "kappa=0.5,6.5,7", "--grid", "d=0.5,1"], None),
+    (["eval-ads", "--t", "0.8", "--d", "0.5", "--grid", "theta=0,1", "--format", "json"], None),
     (["identity"], None),
     (["verify", "--suite", "subordination,semigroup,normalization", "--seed", "42"], None),
     (["verify", "--suite", "radial-pde"], None),
