@@ -15,12 +15,19 @@ multiple ``--grid`` flags form a cartesian product in column order.  CSV
 output carries 17 significant digits, LF line endings and UTF-8; rows are
 emitted in grid order and repeated runs are byte-identical.  Eval rows that
 differ only in the innermost column (x, d, theta), or for eval-maass only in
-kappa and d, form one group: one q_t call, one quadrature per route, so a
-quadrature row's last digits can depend on its group; the ``--max-nodes``
-budget holds per integral, that is per group, and a group that fails is
-retried one kappa at a time (eval-maass), then row by row.  A ``--d`` row is
-evaluated at exactly its d (0 <= d < 700) with no twist; only a ``--w/--y``
-pair is paired, once per group, and its rows print the pair's distance.
+kappa and d, form one group: one kernel call per group (one q_t call, one
+quadrature per route), so a quadrature row's last digits can depend on its
+group; the ``--max-nodes`` budget holds per integral, that is per group, and
+a group that fails is retried one kappa at a time (eval-maass), then row by
+row.  A ``--d`` row is evaluated at exactly its d (0 <= d < 700) with no
+twist; only a ``--w/--y`` pair is paired, once per group, and its rows print
+the pair's distance.
+
+The pipeline is column-wise: a group is a block of the grid's cartesian
+product, its builder returns result columns, and each grid value is
+formatted once, by position, so a signed zero is kept (``--grid x=-0.0,0``
+prints ``-0`` and ``0``) and a value repeated in an outer column starts a
+group of its own.  The output is written in one piece, after the last group.
 
 Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
@@ -33,7 +40,6 @@ outside double range also exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -356,10 +362,53 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict[str, list[Any
     }
 
 
-def _grid_product(value_lists: dict[str, list[Any]]) -> list[dict[str, Any]]:
-    """Cartesian product of the value lists, first column outermost."""
-    combos = itertools.product(*value_lists.values())
-    return [dict(zip(value_lists, combo)) for combo in combos]
+def _cells(values: Sequence[Any]) -> list[str]:
+    """The CSV cells of one column, whose values share one type: floats
+    (np.float64 included) at 17 digits, other values by ``str``."""
+    if values and isinstance(values[0], float):
+        return [format(v, ".17g") for v in values]
+    return [str(v) for v in values]
+
+
+class _Grid:
+    """The cartesian product of per-column value lists, first column outermost.
+
+    Each value's CSV cell is formatted once, by position, so ``-0.0`` and
+    ``0`` keep their own cells.  A block holds one range of positions per
+    column; its rows are a contiguous run of the product, in product order.
+    """
+
+    def __init__(self, value_lists: dict[str, list[Any]]) -> None:
+        self.names = tuple(value_lists)
+        self.values = tuple(value_lists.values())
+        self.cells = tuple(_cells(values) for values in self.values)
+
+    def blocks(self, inner: int) -> Iterator[tuple[range, ...]]:
+        """The blocks that fix every column but the last ``inner``, in row order."""
+        fixed = [[range(i, i + 1) for i in range(len(v))] for v in self.values[:-inner]]
+        whole = tuple(range(len(v)) for v in self.values[-inner:])
+        return (lead + whole for lead in itertools.product(*fixed))
+
+    def columns(
+        self, block: tuple[range, ...], results: dict[str, list[Any]], csv: bool
+    ) -> dict[str, list[Any]]:
+        """The columns of ``block``'s rows: the grid's, then ``results``, which
+        replace a grid column of the same name; as CSV cells, or as values."""
+        out: dict[str, list[Any]] = {}
+        outer, inner = 1, math.prod(map(len, block))
+        for name, column, span in zip(self.names, self.cells if csv else self.values, block):
+            inner //= len(span)
+            if name not in results:
+                part = column[span.start : span.stop]
+                if len(part) == 1:
+                    part *= inner
+                elif inner > 1:
+                    repeated = (itertools.repeat(v, inner) for v in part)
+                    part = list(itertools.chain.from_iterable(repeated))
+                out[name] = part * outer
+            outer *= len(span)
+        out.update({name: _cells(column) for name, column in results.items()} if csv else results)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +434,29 @@ def _write_json(payload: dict[str, Any], path: str | None) -> None:
         out.write("\n")
 
 
-def _emit_rows(command: str, rows: list[dict[str, Any]], fmt: str, path: str | None) -> None:
-    if fmt == "json":
-        _write_json({"command": command, "rows": rows}, path)
-        return
+def _emit_rows(
+    command: str, blocks: list[dict[str, list[Any]]], fmt: str, path: str | None
+) -> None:
+    """Write the rows of ``blocks`` in order, their columns in header order.
+
+    A block maps column names to equal-length columns: CSV cells for csv,
+    values for json.  A column a block lacks is empty (null in json).  No
+    cell holds a delimiter, quote or line break, so a CSV line is its cells
+    joined by commas.
+    """
     header = _CSV_HEADERS[command]
+    blank = itertools.repeat(None if fmt == "json" else "")
+    rows = [
+        row
+        for block in blocks
+        for row in zip(*(block[name] if name in block else blank for name in header))
+    ]
+    if fmt == "json":
+        _write_json({"command": command, "rows": [dict(zip(header, row)) for row in rows]}, path)
+        return
+    text = "".join(f"{line}\n" for line in map(",".join, [header, *rows]))
     with _out_stream(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            cells = (row[name] for name in header)
-            # floats (np.float64 included) at 17 digits; csv writes None as ""
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in cells])
+        out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -421,79 +481,68 @@ def _paired_points(args: argparse.Namespace, n: int, d: Any) -> tuple[np.ndarray
     return np.full(np.shape(d), dist), np.full(np.shape(d), twist)
 
 
-def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
-    def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        qs = hyperbolic_heat_kernel(group[0]["t"], group[0]["n"], [p["x"] for p in group])
-        return [{**p, "q": float(q)} for p, q in zip(group, qs)]
+def _hyperbolic_rows(args: argparse.Namespace) -> Callable[..., dict[str, list[Any]]]:
+    def columns(t: float, n: int, xs: list[float]) -> dict[str, list[Any]]:
+        return {"q": hyperbolic_heat_kernel(t, n, xs).tolist()}
 
-    return rows
+    return columns
 
 
-def _maass_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
+def _maass_rows(args: argparse.Namespace) -> Callable[..., dict[str, list[Any]]]:
     quad = QuadratureConfig(args.abs_tol, args.rel_tol, args.max_nodes)
 
-    def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        t, n = group[0]["t"], group[0]["n"]
-        kappas = {k: i for i, k in enumerate(dict.fromkeys(p["kappa"] for p in group))}
-        ds = {d: j for j, d in enumerate(dict.fromkeys(p["d"] for p in group))}
-        dists, twists = _paired_points(args, n, list(ds))
-        phases = [twist_phase(twists, kappa) for kappa in kappas]
-        substituted = maass_radial_profile(t, n, list(kappas), dists, config=quad)
+    def columns(t: float, n: int, kappas: list[float], ds: list[float]) -> dict[str, list[Any]]:
+        # each distinct kappa and d is evaluated once
+        kappa_at = {k: i for i, k in enumerate(dict.fromkeys(kappas))}
+        d_at = {d: j for j, d in enumerate(dict.fromkeys(ds))}
+        dists, twists = _paired_points(args, n, list(d_at))
+        phases = np.array([twist_phase(twists, kappa) for kappa in kappa_at])
+        substituted = maass_radial_profile(t, n, list(kappa_at), dists, config=quad)
         far = dists >= DIRECT_ROUTE_MIN_DISTANCE  # else the direct route delegates
         direct = substituted.copy()
-        direct[:, far] = maass_direct_profile(t, n, list(kappas), dists[far], config=quad)
+        direct[:, far] = maass_direct_profile(t, n, list(kappa_at), dists[far], config=quad)
 
-        def row(p: dict[str, Any]) -> dict[str, Any]:
-            i, j = kappas[p["kappa"]], ds[p["d"]]
-            phase = complex(phases[i][j])
-            v = phase * float(direct[i, j])
-            return {
-                **p,
-                "d": float(dists[j]),
-                "re(v)": v.real,
-                "im(v)": v.imag,
-                "route": "direct" if far[j] else "substituted",
-                "route_discrepancy": abs(v - phase * float(substituted[i, j])),
-            }
+        js = [d_at[d] for d in ds]
+        rows = np.ix_([kappa_at[k] for k in kappas], js)  # kappa outer, d inner
+        phase = phases[rows].ravel()
+        v = phase * direct[rows].ravel()
+        return {
+            "d": dists[js].tolist() * len(kappas),
+            "re(v)": v.real.tolist(),
+            "im(v)": v.imag.tolist(),
+            "route": ["direct" if f else "substituted" for f in far[js]] * len(kappas),
+            "route_discrepancy": np.abs(v - phase * substituted[rows].ravel()).tolist(),
+        }
 
-        return [row(p) for p in group]
-
-    return rows
+    return columns
 
 
-def _ads_rows(args: argparse.Namespace) -> Callable[..., list[dict[str, Any]]]:
+def _ads_rows(args: argparse.Namespace) -> Callable[..., dict[str, list[Any]]]:
     quad = QuadratureConfig(args.abs_tol, args.rel_tol, args.max_nodes)
     series_cfg = SeriesConfig(eps_tail=args.eps_tail, k_max_override=args.k_max)
     report_theorem = args.normalization == "theorem"
 
-    def rows(group: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        t, n = group[0]["t"], group[0]["n"]
-        dist, twist = map(float, _paired_points(args, n, group[0]["d"]))
-        fibers = [FiberAngle(p["theta"]).theta for p in group]
+    def columns(t: float, n: int, d: float, thetas: list[float]) -> dict[str, list[Any]]:
+        dist, twist = map(float, _paired_points(args, n, d))
+        fibers = [FiberAngle(theta).theta for theta in thetas]
         angles = [f + twist for f in fibers]
         detail = ads_kernel_series_detail(t, n, dist, angles[0], series_cfg, quad)
         integrals = ads_kernel_integral(t, n, dist, angles, series_cfg, quad)
-        terms = 2 * detail.modes_used + 1
+        series = [detail.at_angle(angle).value for angle in angles]
+        s = [z / TWO_PI for z in series] if report_theorem else series
+        return {
+            "d": [dist] * len(thetas),
+            "theta": fibers,
+            "re(s)": [z.real for z in s],
+            "im(s)": [z.imag for z in s],
+            "series_terms_used": [2 * detail.modes_used + 1] * len(thetas),
+            "route_discrepancy": [abs(i - z / TWO_PI) for i, z in zip(integrals, series)],
+        }
 
-        def row(p: dict[str, Any], fiber: float, angle: float, integral: float) -> dict[str, Any]:
-            series = detail.at_angle(angle).value
-            s = series / TWO_PI if report_theorem else series
-            return {
-                **p,
-                "d": dist,
-                "theta": fiber,
-                "re(s)": s.real,
-                "im(s)": s.imag,
-                "series_terms_used": terms,
-                "route_discrepancy": abs(integral - series / TWO_PI),
-            }
-
-        return [row(*r) for r in zip(group, fibers, angles, integrals)]
-
-    return rows
+    return columns
 
 
-_ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[str, Any]]]]] = {
+_ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., dict[str, list[Any]]]]] = {
     "eval-hyperbolic": _hyperbolic_rows,
     "eval-maass": _maass_rows,
     "eval-ads": _ads_rows,
@@ -501,52 +550,57 @@ _ROW_BUILDERS: dict[str, Callable[[argparse.Namespace], Callable[..., list[dict[
 
 
 def _handle_eval(args: argparse.Namespace) -> int:
-    """Merge options, build the grid, evaluate rows in order, emit them.
+    """Merge options, evaluate the grid group by group, emit the rows in grid order.
 
-    Rows differing only in the innermost column (x, d or theta; kappa and d
-    for eval-maass) are evaluated as one group, each at the d it prints: a
-    --d row at its d as given, a --w/--y row at the distance of the pair,
-    paired once per group.  A group that fails is retried one kappa at a
-    time (eval-maass), then row by row; a row that does not converge on its
-    own is left out and listed on stderr, and the exit code is then 3.
+    A group fixes every column but the innermost (x, d or theta; kappa and d
+    for eval-maass) and is one call of its row builder, which gets the
+    group's fixed values and inner value lists and returns its result
+    columns.  Each row is evaluated at the d it prints: a --d row at its d
+    as given, a --w/--y row at the distance of the pair, paired once per
+    group.  A group that fails is retried one kappa at a time (eval-maass),
+    then row by row; a row that does not converge on its own is left out
+    and listed on stderr, and the exit code is then 3.
     """
     command = args.command
-    value_lists = _merge_options(args, command)
-    group_rows = _ROW_BUILDERS[command](args)
-    params_list = _grid_product(value_lists)
-    shared = _GRID_ORDER[command][:-1]
-    rows: list[dict[str, Any]] = []
-    failures: list[tuple[dict[str, Any], ConvergenceError]] = []
+    grid = _Grid(_merge_options(args, command))
+    group_columns = _ROW_BUILDERS[command](args)
+    inner = 2 if command == "eval-maass" else 1
+    csv = (args.format or "csv") == "csv"
+    blocks: list[dict[str, list[Any]]] = []
+    failures: list[tuple[tuple[range, ...], ConvergenceError]] = []
 
-    def runs(group: list[dict[str, Any]], columns: tuple[str, ...]) -> list[list[dict[str, Any]]]:
-        """The runs of ``group`` that agree on ``columns``."""
-        same_columns = itertools.groupby(group, key=lambda p: [p[c] for c in columns])
-        return [list(same) for _, same in same_columns]
-
-    def evaluate(group: list[dict[str, Any]]) -> None:
+    def evaluate(block: tuple[range, ...]) -> None:
+        spans = zip(grid.values, block)
+        fixed = [values[span.start] for values, span in itertools.islice(spans, len(block) - inner)]
+        lists = [values[span.start : span.stop] for values, span in spans]
         try:
-            rows.extend(group_rows(group))
+            results = group_columns(*fixed, *lists)
         except ConvergenceError as exc:
-            if len(group) == 1:
-                failures.append((group[0], exc))
+            # split the outermost column that spans several values: an
+            # eval-maass group of several kappa is retried one kappa at a
+            # time, any other group row by row, so only the rows that fail
+            # by themselves are left out
+            wide = next((c for c, span in enumerate(block) if len(span) > 1), None)
+            if wide is None:
+                failures.append((block, exc))
                 return
-            # an eval-maass group of several kappa is retried one kappa at a
-            # time, any other group row by row: only the rows that fail by
-            # themselves are left out
-            parts = runs(group, shared)
-            for part in parts if len(parts) > 1 else [[p] for p in group]:
-                evaluate(part)
+            for i in block[wide]:
+                evaluate(block[:wide] + (range(i, i + 1),) + block[wide + 1 :])
+            return
+        blocks.append(grid.columns(block, results, csv))
 
-    # eval-maass rows that differ only in kappa and d share one quadrature per route
-    for group in runs(params_list, shared[:-1] if command == "eval-maass" else shared):
-        evaluate(group)
-    _emit_rows(command, rows, args.format or "csv", args.output)
+    for block in grid.blocks(inner):
+        evaluate(block)
+    _emit_rows(command, blocks, args.format or "csv", args.output)
     if not failures:
         return 0
-    for p, exc in failures:
-        spec = ", ".join(f"{k}={v}" for k, v in p.items())
+    for block, exc in failures:
+        spec = ", ".join(
+            f"{name}={values[span.start]}"
+            for name, values, span in zip(grid.names, grid.values, block)
+        )
         print(f"warning: row ({spec}) did not converge: {exc}", file=sys.stderr)
-    total = len(params_list)
+    total = math.prod(map(len, grid.values))
     print(
         f"warning: {len(failures)} of {total} rows failed; "
         f"output holds the {total - len(failures)} completed rows",
@@ -558,6 +612,7 @@ def _handle_eval(args: argparse.Namespace) -> int:
 def _handle_identity(args: argparse.Namespace) -> int:
     value_lists = _merge_options(args, "identity")
     k_terms = require_int(args.k_max, "--k-max", 1)
+    csv = (args.format or "csv") == "csv"
 
     m_values = value_lists["m"]
     if m_values == [None]:
@@ -565,32 +620,42 @@ def _handle_identity(args: argparse.Namespace) -> int:
     if min(m_values) < 0:
         raise UsageError(f"polynomial degree m must be >= 0, got {min(m_values)}")
 
-    def row(identity: str, lhs: complex, rhs: complex, **params: Any) -> dict[str, Any]:
-        return {
-            **dict.fromkeys(_CSV_HEADERS["identity"]),
-            **params,
-            "identity": identity,
-            "re(lhs)": lhs.real,
-            "im(lhs)": lhs.imag,
-            "re(rhs)": rhs.real,
-            "im(rhs)": rhs.imag,
-            "abs_diff": abs(lhs - rhs),
+    def block(
+        identity: str, grid: _Grid, pairs: list[tuple[complex, complex]], **fixed: Any
+    ) -> dict[str, list[Any]]:
+        """The rows of one identity family over all of ``grid``, from their (lhs, rhs) pairs."""
+        results = {
+            "identity": [identity] * len(pairs),
+            **{name: [value] * len(pairs) for name, value in fixed.items()},
+            "re(lhs)": [lhs.real for lhs, _ in pairs],
+            "im(lhs)": [lhs.imag for lhs, _ in pairs],
+            "re(rhs)": [rhs.real for _, rhs in pairs],
+            "im(rhs)": [rhs.imag for _, rhs in pairs],
+            "abs_diff": [abs(lhs - rhs) for lhs, rhs in pairs],
         }
+        return grid.columns(tuple(map(range, map(len, grid.values))), results, csv)
 
-    rows: list[dict[str, Any]] = []
+    blocks: list[dict[str, list[Any]]] = []
     if args.which in ("both", "gauss-cosh"):
-        for p in _grid_product({"m": m_values, "u": value_lists["u"]}):
-            m, u = p["m"], p["u"]
+        grid = _Grid({"m": m_values, "u": value_lists["u"]})
+        pairs = []
+        for m, u in itertools.product(*grid.values):
             if max(m, 1) * abs(u) > 709.0:  # past it cosh(m u) leaves double range
                 raise ValueError(f"gauss-cosh needs max(m, 1)*|u| <= 709, got m={m}, u={u}")
             lhs = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
-            rows.append(row("gauss-cosh", lhs, chebyshev_T(m, math.cosh(u)), **p))
+            pairs.append((lhs, chebyshev_T(m, math.cosh(u))))
+        blocks.append(block("gauss-cosh", grid, pairs))
     if args.which in ("both", "theta"):
-        for p in _grid_product({name: value_lists[name] for name in ("t", "u", "theta")}):
-            lhs = theta_identity_lhs(k_terms=k_terms, **p)
-            rhs = theta_identity_rhs(k_terms=k_terms, **p)
-            rows.append(row("theta", lhs, rhs, **p, k_terms=k_terms))
-    _emit_rows("identity", rows, args.format or "csv", args.output)
+        grid = _Grid({name: value_lists[name] for name in ("t", "u", "theta")})
+        pairs = [
+            (
+                theta_identity_lhs(t, u, theta, k_terms=k_terms),
+                theta_identity_rhs(t, u, theta, k_terms=k_terms),
+            )
+            for t, u, theta in itertools.product(*grid.values)
+        ]
+        blocks.append(block("theta", grid, pairs, k_terms=k_terms))
+    _emit_rows("identity", blocks, args.format or "csv", args.output)
     return 0
 
 
@@ -674,12 +739,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:  # built on first use, then reused
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, built on first use and then reused, and each subcommand's own parser."""
+    parser = build_parser()
+    (commands,) = (action.choices for action in parser._actions if action.dest == "command")
+    return parser, commands
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, through the subcommand's own parser where it can.
+
+    The top-level parser scans and converts every argument before it hands
+    them to the subcommand's parser, which then parses them again.  Anything
+    that is not a subcommand with arguments it knows (no argv, ``-h``, an
+    unknown command or option) goes through the top-level parser, which
+    gives the usage text, error and exit code.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        args, unknown = commands[argv[0]].parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.handler(args)
     except ConvergenceError as exc:
@@ -688,4 +775,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-

@@ -290,6 +290,41 @@ class TestParserReuse:
         assert [run_cli(capsys, grid), run_cli(capsys, plain)] == expected
         assert [run_cli(capsys, plain), run_cli(capsys, grid)] == expected[::-1]
 
+    # main parses through the subcommand's own parser; usage text, errors
+    # and exit codes must stay those of the full parser
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["nope"],
+            ["eval-ads", "--bogus"],
+            ["eval-ads", "--t"],
+            ["eval-maass", "-h"],
+            ["verify", "--timestamp", "x"],
+        ],
+    )
+    def test_parse_exits_as_the_full_parser(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        assert outcome(main) == outcome(build_parser().parse_args)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval-ads", "--t", "1", "--grid", "theta=0,1", "--grid=t=1,2"],
+            ["eval-maass", "--kappa=0.5", "--config", "run.cfg"],
+            ["identity", "--which", "theta"],
+            ["verify", "--timestamp"],
+        ],
+    )
+    def test_parse_gives_the_full_parsers_namespace(self, argv):
+        assert vars(cli._parse_args(argv)) == vars(build_parser().parse_args(argv))
+
 
 class TestEvalMaass:
     def test_header_and_routes(self, capsys):

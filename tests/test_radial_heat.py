@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +71,37 @@ def exact_q(mpmath, n: int, x: float, ts) -> list:
             pref = gauss / ((2 * mpmath.pi) ** n * mpmath.sqrt(4 * mpmath.pi * t))
             out.append(pref * mpmath.fsum(v / t**a for a, v in by_tpow.items()))
         return out
+
+
+def decimal_pi() -> Decimal:
+    """pi at the current decimal precision (the series in the decimal module's documentation)."""
+    three = Decimal(3)
+    lasts, term, total, n, na, d, da = 0, three, three, 1, 0, 0, 24
+    while total != lasts:
+        lasts = total
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        term = (term * n) / d
+        total += term
+    return total
+
+
+def decimal_q(t: float, n: int, x: float, scaled: bool) -> Decimal:
+    """q_t(x) (times e^{x^2/4t} if ``scaled``) from the exact term sum in ``decimal``,
+    at 40 + 4n log10(1/x) digits (the terms cancel like x^(1 - 2n)); x > 0."""
+    with localcontext() as ctx:
+        ctx.prec = 40 + int(4 * n * max(0.0, -math.log10(x)))
+        td, xd = Decimal(t), Decimal(x)
+        ex = xd.exp()
+        ch, sh = (ex + 1 / ex) / 2, (ex - 1 / ex) / 2
+        total = sum(
+            Decimal(term.coeff.numerator) / term.coeff.denominator
+            * td**-term.tpow * xd**term.xpow * ch**term.coshpow / sh**term.sinhinvpow
+            for term in millson_term_sum(n).terms
+        )
+        pi = decimal_pi()
+        exponent = -n * n * td - (0 if scaled else xd * xd / (4 * td))
+        return +(exponent.exp() * total / ((2 * pi) ** n * (4 * pi * td).sqrt()))
 
 
 class TestTermAlgebra:
@@ -219,6 +252,31 @@ class TestSmallX:
     def test_positive_at_origin_high_order(self):
         for n in (2, 3, 4):
             assert hyperbolic_heat_kernel(0.7, n, 0.0) > 0.0
+
+
+class TestSubnormalPrefactor:
+    """Where e^{-n^2 t} / ((2 pi)^n sqrt(4 pi t)) is below the normal range, q_t
+    still rounds once: at (5, 12) a subnormal prefactor made it 27% low."""
+
+    SPACING = Decimal(2.0**-1074)  # between neighbouring subnormals
+
+    @pytest.mark.parametrize("kernel", [hyperbolic_heat_kernel, hyperbolic_heat_kernel_scaled])
+    @pytest.mark.parametrize("t, n", [(5.0, 12), (4.9, 12), (20.0, 6), (709.0, 1)])
+    def test_within_one_subnormal_spacing_of_the_exact_sum(self, kernel, t, n):
+        scaled = kernel is hyperbolic_heat_kernel_scaled
+        xs = [0.05, 1.0, 3.0, 6.0]
+        values = kernel(t, n, np.array(xs))
+        for x, value in zip(xs, values):
+            exact = decimal_q(t, n, x, scaled)
+            assert exact < Decimal(sys.float_info.min)
+            assert abs(Decimal(value) - exact) <= self.SPACING
+            assert kernel(t, n, x) == value
+
+    def test_underflow_to_zero_past_the_gaussian_cutoff(self):
+        # x^2 / 4t > 700 is returned as 0 by design, although the true value
+        # (5.7e-317 here) is a subnormal
+        assert hyperbolic_heat_kernel(0.05, 1, 12.0) == 0.0
+        assert decimal_q(0.05, 1, 12.0, scaled=False) > 0
 
 
 class TestEvaluation:
