@@ -506,13 +506,17 @@ def _maass_rows(args: argparse.Namespace) -> Callable[..., dict[str, list[Any]]]
         rows = np.ix_([kappa_at[k] for k in kappas], js)  # kappa outer, d inner
         phase = phases[rows].ravel()
         v = phase * direct[rows].ravel()
-        return {
-            "d": dists[js].tolist() * len(kappas),
+        out = {
             "re(v)": v.real.tolist(),
             "im(v)": v.imag.tolist(),
             "route": ["direct" if f else "substituted" for f in far[js]] * len(kappas),
             "route_discrepancy": np.abs(v - phase * substituted[rows].ravel()).tolist(),
         }
+        if args.w is not None or args.y is not None:
+            # a --w/--y row prints the pair's distance; any other row keeps
+            # its grid cell, since d_at merges -0.0 and 0
+            out["d"] = dists[js].tolist() * len(kappas)
+        return out
 
     return columns
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from adsheat import verify
 from adsheat.geometry import BallPoint, point_at_distance
 from adsheat.kernels import (
     MaassKernelQuery,
@@ -18,6 +19,7 @@ from adsheat.kernels import (
     ads_kernel_series_detail,
     maass_kernel_direct,
     maass_kernel_substituted,
+    maass_radial_profile,
     theta_identity_lhs,
     theta_identity_rhs,
 )
@@ -26,6 +28,7 @@ from adsheat.radial_heat import hyperbolic_heat_kernel
 from adsheat.special import gauss_2f1_terminating
 from adsheat.verify import (
     check_maass_pde,
+    discrete_maass_operator,
     check_normalization_k0,
     check_radial_heat_pde,
     check_semigroup_k0,
@@ -140,10 +143,56 @@ def test_criterion_06_maass_pde_residual():
     start = time.perf_counter()
     worst = 0.0
     for kappa in (0.0, 0.5, 1.0):
-        step = 0.01 if kappa == 1.0 else 0.02
         for t in (0.8, 1.0):
-            worst = max(worst, check_maass_pde(t, kappa, step=step).max_rel_residual)
+            worst = max(worst, check_maass_pde(t, kappa).max_rel_residual)
     _grade(6, "disc-grid heat equation for D_kappa", worst, 5e-3, start, 60.0)
+
+
+def _without_kappa_squared(values, coords, step, kappa):
+    interior = (slice(2, -2), slice(2, -2))
+    one_m = 1.0 - np.abs(coords[interior]) ** 2
+    return (
+        discrete_maass_operator(values, coords, step, kappa)
+        - 4.0 * kappa * kappa * one_m * values[interior]
+    )
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+@pytest.mark.parametrize(
+    "control",
+    [
+        # the twist term with its sign flipped: the operator at -kappa keeps
+        # the kappa^2 term and negates the first-derivative block
+        (
+            "discrete_maass_operator",
+            lambda v, w, h, kappa: discrete_maass_operator(v, w, h, -kappa),
+        ),
+        ("discrete_maass_operator", _without_kappa_squared),
+        # the n = 2 profile on the n = 1 disc
+        ("maass_radial_profile", lambda t, n, kappa, d: maass_radial_profile(t, 2, kappa, d)),
+    ],
+    ids=["twist-sign-flipped", "kappa-squared-dropped", "n2-profile"],
+)
+def test_criterion_06_controls_read_far_above_threshold(monkeypatch, kappa, control):
+    # each wrong operator or profile must read orders above the stencil's own
+    # error; a control calls the unpatched function it wraps
+    name, wrong = control
+    monkeypatch.setattr(verify, name, wrong)
+    for t in (0.8, 1.0):
+        assert check_maass_pde(t, kappa).max_rel_residual > 0.1
+
+
+def test_criterion_06_perturbed_profile_fails_the_battery_threshold(monkeypatch):
+    # a relative error of 1e-4 d^2 in the profile: the stencil's own error
+    # stays under the battery's 1e-3 threshold, the perturbed profile's above
+    clean = [check_maass_pde(t, 1.0).max_rel_residual for t in (0.8, 1.0)]
+    monkeypatch.setattr(
+        verify,
+        "maass_radial_profile",
+        lambda t, n, kappa, d: maass_radial_profile(t, n, kappa, d) * (1.0 + 1e-4 * d * d),
+    )
+    perturbed = [check_maass_pde(t, 1.0).max_rel_residual for t in (0.8, 1.0)]
+    assert max(clean) <= 1e-3 < min(perturbed)
 
 
 def test_criterion_07_ball_normalization_and_semigroup():

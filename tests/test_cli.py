@@ -503,6 +503,12 @@ class TestEvalMaass:
         assert [(r[2], r[3]) for r in rows] == [("0.5", "0"), ("0.5", "0.29999999999999999")] * 2
         assert rows[:2] == rows[2:]
 
+    def test_signed_zero_distance_prints_as_given(self, capsys):
+        # -0.0 == 0.0, so the two rows share one profile value, not one d
+        argv = ["eval-maass", "--grid", "kappa=0,1", "--grid", "d=-0.0,0,0.5"]
+        rows = assert_json_rows_are_csv_rows(capsys, argv)
+        assert [format(row["d"], "g") for row in rows] == ["-0", "0", "0.5"] * 2
+
     def test_failure_at_one_distance_drops_only_its_row(self, capsys, monkeypatch):
         base = ["eval-maass", "--t", "0.8", "--kappa", "1"]
         alone = {}

@@ -176,17 +176,18 @@ class TestMaassPde:
         report = check_maass_pde(1.0, 1.0, step=0.01)
         assert report.max_rel_residual <= 5e-3
 
-    def test_default_step_too_coarse_at_weight_one(self):
-        # at kappa = 1 and step 0.02 the O(h^2) stencil truncation alone
-        # exceeds 5e-3, which is why the default suite refines to 0.01
-        report = check_maass_pde(1.0, 1.0, step=0.02)
-        assert report.max_rel_residual > 5e-3
+    def test_stencil_is_fourth_order(self):
+        # halving the step divides the O(h^4) truncation by ~16; the time
+        # difference's own error sits far below either reading
+        coarse = check_maass_pde(1.0, 1.0, step=0.06).max_rel_residual
+        default = check_maass_pde(1.0, 1.0).max_rel_residual
+        assert 10.0 <= coarse / default <= 25.0
 
     @pytest.mark.parametrize(
         "t, kappa, max_abs, max_rel",
         [
-            (0.8, 0.0, 0.0001111834195880318, 0.0012416437844897268),
-            (1.0, 0.5, 0.00011395848598610286, 0.0014923584371296858),
+            (0.8, 0.0, 7.043758804052558e-06, 7.866149029252165e-05),
+            (1.0, 0.5, 6.944819974617361e-06, 9.094696044396493e-05),
         ],
     )
     def test_residuals_frozen(self, t, kappa, max_abs, max_rel):
@@ -194,8 +195,8 @@ class TestMaassPde:
         # adaptive profile replaced, to be kept to six significant digits;
         # the adaptive profile's own values are frozen to the bit
         frozen = {
-            (0.8, 0.0): (0.00011118341959844014, 0.0012416437846059622),
-            (1.0, 0.5): (0.00011395848602369085, 0.0014923584376221955),
+            (0.8, 0.0): (7.043758806182798e-06, 7.86614903163173e-05),
+            (1.0, 0.5): (6.944819996135995e-06, 9.094696072578204e-05),
         }
         report = check_maass_pde(t, kappa)
         residuals = (report.max_abs_residual, report.max_rel_residual)
@@ -213,9 +214,9 @@ class TestMaassPde:
 
         monkeypatch.setattr(verify, "maass_radial_profile", spy)
         check_maass_pde(1.0, 0.5)
-        # one call per time level at step 0.02: the levels at t -/+ t_step on
-        # |w| <= 0.8, the level at t on the stencil's reach |w| <= 0.82
-        assert sizes == [2551, 2670, 2551]
+        # one call per time level at step 0.03: the levels at t -/+ t_step on
+        # |w| <= 0.8, the level at t on the points the plus stencil reads
+        assert sizes == [1143, 1299, 1143]
 
     def test_config_echo_reports_grid(self):
         report = check_maass_pde(0.8, 0.5)
@@ -223,7 +224,7 @@ class TestMaassPde:
             "t": 0.8,
             "kappa": 0.5,
             "radius": 0.8,
-            "step": 0.02,
+            "step": 0.03,
             "y_base": 0.35,
             "t_step": 1e-3,
         }
