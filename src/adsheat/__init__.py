@@ -24,8 +24,6 @@ from .kernels import (
     maass_kernel_substituted,
     maass_direct_profile,
     maass_radial_profile,
-    theta_identity_lhs,
-    theta_identity_rhs,
 )
 from .quadrature import (
     ConvergenceError,
@@ -41,7 +39,7 @@ from .radial_heat import (
     millson_apply,
     millson_term_sum,
 )
-from .special import chebyshev_T, gauss_2f1_terminating, spectral_cosh_factor
+from .special import chebyshev_T, spectral_cosh_factor
 from .verify import (
     CheckOutcome,
     ResidualReport,
@@ -65,7 +63,6 @@ __all__ = [
     "phase_factor",
     "point_at_distance",
     "chebyshev_T",
-    "gauss_2f1_terminating",
     "spectral_cosh_factor",
     "GaussianTerm",
     "GaussianTermSum",
@@ -88,8 +85,6 @@ __all__ = [
     "ads_kernel_series",
     "ads_kernel_series_detail",
     "ads_kernel_integral",
-    "theta_identity_lhs",
-    "theta_identity_rhs",
     "ResidualReport",
     "SymmetricOperatorSample",
     "random_negative_semidefinite",

@@ -5,7 +5,6 @@ Subcommands
 eval-hyperbolic   radial heat kernel rows  (t, n, x, q)
 eval-maass        spin-weighted ball kernel rows, both integral routes
 eval-ads          fibered subelliptic kernel rows, series + integral routes
-identity          both sides of the two cross-check identities
 verify            residual check battery as a JSON report
 
 Shared conventions: every value flag can also come from a ``--config`` file
@@ -33,8 +32,7 @@ Exit status: 0 on success, 2 on a usage or configuration error, 3 when a
 computation failed to converge (completed rows are still written and the
 failures are listed on stderr) or a verification check did not pass.  A bad
 value's message leads with its source: ``--t``, ``--grid t=0.5,abc`` or
-``run.cfg: max_nodes``.  An unwritable ``--output`` and an ``identity`` row
-outside double range also exit 2.
+``run.cfg: max_nodes``.  An unwritable ``--output`` also exits 2.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .geometry import (
     BallPoint,
     FiberAngle,
     bergman_pairing,
-    require_int,
     twist_phase,
 )
 from .kernels import (
@@ -67,12 +64,9 @@ from .kernels import (
     ads_kernel_series_detail,
     maass_direct_profile,
     maass_radial_profile,
-    theta_identity_lhs,
-    theta_identity_rhs,
 )
 from .quadrature import ConvergenceError, QuadratureConfig
 from .radial_heat import hyperbolic_heat_kernel
-from .special import chebyshev_T, gauss_2f1_terminating
 from .verify import DEFAULT_SUITES, run_default_suite
 
 
@@ -225,19 +219,6 @@ _COMMAND_PARAMS: dict[str, dict[str, _Param]] = {
         **_TOL_PARAMS,
         **_OUTPUT_PARAMS,
     },
-    "identity": {
-        "m": _Param(_conv_int, None, gridable=True, help="polynomial degree"),
-        "t": _T,
-        "u": _Param(_conv_float, 0.5, gridable=True, help="evaluation abscissa"),
-        "theta": _Param(_conv_float, 0.7, gridable=True, help="fiber angle"),
-        "k_max": _Param(_conv_int, 12, help="shifted-copy count for the theta identity"),
-        "which": _Param(
-            _choice("both", "gauss-cosh", "theta"),
-            "both",
-            help="which identity family to tabulate",
-        ),
-        **_OUTPUT_PARAMS,
-    },
     "verify": {
         "suite": _Param(
             str, "all", help="'all' or comma list of " + ", ".join(DEFAULT_SUITES)
@@ -262,9 +243,6 @@ _CSV_HEADERS: dict[str, tuple[str, ...]] = {
     "eval-maass": _GRID_ORDER["eval-maass"] + ("re(v)", "im(v)", "route", "route_discrepancy"),
     "eval-ads": _GRID_ORDER["eval-ads"]
     + ("re(s)", "im(s)", "series_terms_used", "route_discrepancy"),
-    "identity": ("identity",)
-    + _GRID_ORDER["identity"]
-    + ("k_terms", "re(lhs)", "im(lhs)", "re(rhs)", "im(rhs)", "abs_diff"),
 }
 
 
@@ -440,17 +418,12 @@ def _emit_rows(
     """Write the rows of ``blocks`` in order, their columns in header order.
 
     A block maps column names to equal-length columns: CSV cells for csv,
-    values for json.  A column a block lacks is empty (null in json).  No
-    cell holds a delimiter, quote or line break, so a CSV line is its cells
-    joined by commas.
+    values for json; it holds every header column.  No cell holds a
+    delimiter, quote or line break, so a CSV line is its cells joined by
+    commas.
     """
     header = _CSV_HEADERS[command]
-    blank = itertools.repeat(None if fmt == "json" else "")
-    rows = [
-        row
-        for block in blocks
-        for row in zip(*(block[name] if name in block else blank for name in header))
-    ]
+    rows = [row for block in blocks for row in zip(*(block[name] for name in header))]
     if fmt == "json":
         _write_json({"command": command, "rows": [dict(zip(header, row)) for row in rows]}, path)
         return
@@ -613,56 +586,6 @@ def _handle_eval(args: argparse.Namespace) -> int:
     return 3
 
 
-def _handle_identity(args: argparse.Namespace) -> int:
-    value_lists = _merge_options(args, "identity")
-    k_terms = require_int(args.k_max, "--k-max", 1)
-    csv = (args.format or "csv") == "csv"
-
-    m_values = value_lists["m"]
-    if m_values == [None]:
-        m_values = list(range(13))
-    if min(m_values) < 0:
-        raise UsageError(f"polynomial degree m must be >= 0, got {min(m_values)}")
-
-    def block(
-        identity: str, grid: _Grid, pairs: list[tuple[complex, complex]], **fixed: Any
-    ) -> dict[str, list[Any]]:
-        """The rows of one identity family over all of ``grid``, from their (lhs, rhs) pairs."""
-        results = {
-            "identity": [identity] * len(pairs),
-            **{name: [value] * len(pairs) for name, value in fixed.items()},
-            "re(lhs)": [lhs.real for lhs, _ in pairs],
-            "im(lhs)": [lhs.imag for lhs, _ in pairs],
-            "re(rhs)": [rhs.real for _, rhs in pairs],
-            "im(rhs)": [rhs.imag for _, rhs in pairs],
-            "abs_diff": [abs(lhs - rhs) for lhs, rhs in pairs],
-        }
-        return grid.columns(tuple(map(range, map(len, grid.values))), results, csv)
-
-    blocks: list[dict[str, list[Any]]] = []
-    if args.which in ("both", "gauss-cosh"):
-        grid = _Grid({"m": m_values, "u": value_lists["u"]})
-        pairs = []
-        for m, u in itertools.product(*grid.values):
-            if max(m, 1) * abs(u) > 709.0:  # past it cosh(m u) leaves double range
-                raise ValueError(f"gauss-cosh needs max(m, 1)*|u| <= 709, got m={m}, u={u}")
-            lhs = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
-            pairs.append((lhs, chebyshev_T(m, math.cosh(u))))
-        blocks.append(block("gauss-cosh", grid, pairs))
-    if args.which in ("both", "theta"):
-        grid = _Grid({name: value_lists[name] for name in ("t", "u", "theta")})
-        pairs = [
-            (
-                theta_identity_lhs(t, u, theta, k_terms=k_terms),
-                theta_identity_rhs(t, u, theta, k_terms=k_terms),
-            )
-            for t, u, theta in itertools.product(*grid.values)
-        ]
-        blocks.append(block("theta", grid, pairs, k_terms=k_terms))
-    _emit_rows("identity", blocks, args.format or "csv", args.output)
-    return 0
-
-
 def _handle_verify(args: argparse.Namespace) -> int:
     _merge_options(args, "verify")
     if args.format == "csv":
@@ -708,12 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
         "eval-hyperbolic": "radial heat kernel q_t(x) on H^(2n+1)",
         "eval-maass": "spin-weighted ball heat kernel by two independent routes",
         "eval-ads": "fibered subelliptic heat kernel: mode series vs shifted Gaussians",
-        "identity": "tabulate both sides of the built-in cross-check identities",
         "verify": "run the residual check battery and emit a JSON report",
     }
     handlers = {
         **dict.fromkeys(_ROW_BUILDERS, _handle_eval),
-        "identity": _handle_identity,
         "verify": _handle_verify,
     }
 

@@ -81,7 +81,7 @@ class BallPoint:
 
     @classmethod
     def origin(cls, n: int = 1) -> "BallPoint":
-        return cls((0j,) * n)
+        return cls((0j,) * require_int(n, "dimension", 1))
 
     @property
     def n(self) -> int:
@@ -121,8 +121,7 @@ def point_at_distance(d: float, n: int = 1) -> BallPoint:
     d = float(d)
     if not (math.isfinite(d) and d >= 0.0):
         raise ValueError(f"distance must be finite and >= 0, got {d!r}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n!r}")
+    n = require_int(n, "dimension", 1)
     return BallPoint((complex(math.tanh(d)),) + (0j,) * (n - 1))
 
 

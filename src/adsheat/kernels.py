@@ -29,11 +29,6 @@ Three kernels are evaluated here.
   2 pi; their agreement is the central cross-check of this package.  Both
   take (t, n, d, theta, configs); :func:`ads_kernel_series` pairs ball points.
 
-* ``theta_identity_lhs`` / ``theta_identity_rhs``: the two sides of the
-  Poisson-summation bridge between those routes,
-  ``sum_k exp((u - i theta - 2 i k pi)^2/(4t)) = sqrt(t/pi) sum_k
-  e^{-t k^2} e^{k(u - i theta)}``.
-
 Numerical strategy: every integrand that pairs the Gaussian core of q_t
 with exponential growth (cosh modes, the shifted-Gaussian envelope) is
 evaluated through :func:`hyperbolic_heat_kernel_scaled` with the exponents
@@ -90,8 +85,6 @@ __all__ = [
     "ads_kernel_series",
     "ads_kernel_series_detail",
     "ads_kernel_integral",
-    "theta_identity_lhs",
-    "theta_identity_rhs",
 ]
 
 # below this distance the direct route's endpoint substitution is noise
@@ -617,41 +610,3 @@ def ads_kernel_integral(
     blocks = [angles[i : i + _CALL_ROWS] for i in range(0, angles.size, _CALL_ROWS)]
     values = np.concatenate([cosine_pass(block) for block in blocks]) if blocks else angles
     return float(values[0]) if np.ndim(theta) == 0 else values
-
-
-def _exp_sum(z: np.ndarray, log_scale: float, exponent: str) -> complex:
-    """``sum(e^z)``; ValueError unless ``e^log_scale * len(z) * e^max(Re z)`` stays in range."""
-    peak = float(z.real.max())
-    if not log_scale + math.log(z.size) + peak <= 709.0:  # doubles end at e^709.78; NaN fails
-        raise ValueError(
-            f"theta identity out of double range: {exponent} reaches {peak:.6g}; the sum "
-            f"of {z.size} terms stays finite only while it is below about 709"
-        )
-    return np.exp(z).sum()
-
-
-def theta_identity_lhs(t: float, u: float, theta: float, k_terms: int) -> complex:
-    """Sum of imaginary-shifted Gaussians: sum_{|k|<=K} e^{(u - i theta - 2ik pi)^2/(4t)}.
-
-    Raises ValueError where the real exponents take the sum out of double range.
-    """
-    t = _validate_t(t)
-    k_terms = require_int(k_terms, "k_terms", 1)
-    ks = np.arange(-k_terms, k_terms + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # +inf or NaN fails the check below
-        z = (u - 1j * theta - 2j * math.pi * ks) ** 2 / (4.0 * t)
-    return complex(_exp_sum(z, 0.0, "(u^2 - (theta + 2k pi)^2)/(4t)"))
-
-
-def theta_identity_rhs(t: float, u: float, theta: float, k_terms: int) -> complex:
-    """Damped exponential series: sqrt(t/pi) sum_{|k|<=K} e^{-t k^2} e^{k(u - i theta)}.
-
-    Raises ValueError where the real exponents take the sum out of double range.
-    """
-    t = _validate_t(t)
-    k_terms = require_int(k_terms, "k_terms", 1)
-    ks = np.arange(-k_terms, k_terms + 1)
-    with np.errstate(invalid="ignore"):  # NaN fails the check below
-        z = -t * ks * ks + ks * (u - 1j * theta)
-    scale = math.sqrt(t / math.pi)
-    return complex(scale * _exp_sum(z, math.log(scale), "-t k^2 + k u"))

@@ -29,6 +29,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import require_int
+
 __all__ = [
     "QuadratureConfig",
     "IntegrationResult",
@@ -55,8 +57,7 @@ class QuadratureConfig:
             raise ValueError(f"abs_tol must be in (0, 1), got {self.abs_tol!r}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
-        if not (isinstance(self.max_nodes, int) and self.max_nodes >= 60):
-            raise ValueError(f"max_nodes must be an int >= 60, got {self.max_nodes!r}")
+        object.__setattr__(self, "max_nodes", require_int(self.max_nodes, "max_nodes", 60))
 
 
 @dataclass(frozen=True)
@@ -289,8 +290,8 @@ def gauss_legendre_rule(
     Gauss-Legendre rule.  Returns flat arrays of ``n_panels * order``
     nodes and weights.
     """
-    if n_panels < 1 or order < 2:
-        raise ValueError("need n_panels >= 1 and order >= 2")
+    n_panels = require_int(n_panels, "n_panels", 1)
+    order = require_int(order, "order", 2)
     x, w = _legendre_rule(order)
     edges = np.linspace(float(a), float(b), n_panels + 1)
     half = 0.5 * np.diff(edges)

@@ -101,9 +101,7 @@ class GaussianTerm:
 
     def __post_init__(self) -> None:
         for name in ("tpow", "xpow", "coshpow", "sinhinvpow"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative int, got {v!r}")
+            object.__setattr__(self, name, require_int(getattr(self, name), name, 0))
         if not isinstance(self.coeff, Fraction):
             object.__setattr__(self, "coeff", Fraction(self.coeff))
 
@@ -152,8 +150,7 @@ def millson_apply(s: GaussianTermSum) -> GaussianTermSum:
 def millson_term_sum(n: int) -> GaussianTermSum:
     """Exact term sum for n applications of the sinh-derivative operator
     to the Gaussian."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"order must be a nonnegative int, got {n!r}")
+    n = require_int(n, "order", 0)
     if n == 0:
         return GaussianTermSum.gaussian_seed()
     return millson_apply(millson_term_sum(n - 1))

@@ -1,27 +1,17 @@
-"""Chebyshev polynomials and the terminating Gauss sum behind them.
+"""Chebyshev polynomials and the radial weight of the direct Maass route.
 
 The fiber modes of the twisted kernels enter through the degree-m Chebyshev
 polynomial of the first kind evaluated at a ratio of hyperbolic cosines.
-Two independent evaluation routes are provided so they can be played against
-each other in tests:
 
 * ``chebyshev_T``: the three-term recurrence, numerically stable on the
-  whole real line;
-* ``gauss_2f1_terminating``: the terminating hypergeometric sum
-  ``sum_j (-m)_j (m)_j / (1/2)_j / j! * x^j``, which equals
-  ``chebyshev_T(m, 1 - 2x)``.
-
-The hypergeometric sum suffers catastrophic cancellation in floating point
-(at m = 12 individual terms reach ~1e8 while the sum is O(1)), so it is
-accumulated in exact rational arithmetic and rounded once at the end.  Terms
-are rationals because the input float is promoted to the exact binary
-rational it represents.
+  whole real line, for one degree or every degree of a list at once;
+* ``spectral_cosh_factor``: ``T_{2|kappa|}(cosh x / cosh d)`` over
+  ``sqrt(cosh^2 x - cosh^2 d)``, the weight of
+  :func:`adsheat.kernels.maass_direct_profile`, with the denominator
+  formed without cancellation near x = d.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,33 +36,6 @@ def chebyshev_T(m, z):
     if np.ndim(m):
         return out
     return out[0, ...] if isinstance(z, np.ndarray) else float(out[0])
-
-
-def gauss_2f1_terminating(m: int, x_arg: float) -> float:
-    """Terminating Gauss sum ``2F1(-m, m; 1/2; x)`` for integer ``m >= 0``.
-
-    Evaluated in exact rational arithmetic with a single final rounding, so
-    the result is the correctly rounded value of the polynomial at the exact
-    binary rational ``x_arg`` represents.  Agrees with
-    ``chebyshev_T(m, 1 - 2*x_arg)`` to full precision.  Raises ValueError
-    for a non-finite ``x_arg`` and for a value outside double range.
-    """
-    m = require_int(m, "polynomial degree", 0)
-    if not math.isfinite(x_arg := float(x_arg)):
-        raise ValueError(f"argument must be finite, got {x_arg!r}")
-    x = Fraction(x_arg)
-    total = Fraction(1)
-    term = Fraction(1)
-    for j in range(m):
-        # ratio of consecutive terms: (j - m)(j + m) x / ((j + 1/2)(j + 1))
-        term *= Fraction(2 * (j - m) * (j + m), (2 * j + 1) * (j + 1)) * x
-        total += term
-    try:
-        return float(total)
-    except OverflowError:
-        raise ValueError(
-            f"2F1(-{m}, {m}; 1/2; {x_arg!r}) is outside double range (|value| > 1.8e308)"
-        ) from None
 
 
 def spectral_cosh_factor(x, d, kappa):

@@ -85,8 +85,7 @@ class SymmetricOperatorSample:
 
 def random_negative_semidefinite(dim: int, seed: int = 42, scale: float = 1.0) -> SymmetricOperatorSample:
     """Seeded random sample ``-scale * A A^T / dim`` with standard normal A."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    dim = require_int(dim, "dim", 1)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     m = -scale * (a @ a.T) / dim
@@ -356,7 +355,8 @@ def check_normalization_k0(t: float, n: int) -> ResidualReport:
     a stochastically complete heat kernel is exactly 1.
     """
     t = _validate_t(t)
-    if n not in (1, 2):
+    n = require_int(n, "dimension parameter n", 1)
+    if n > 2:
         raise ValueError("normalization check supports n in {1, 2}")
     c_n = 2.0 * math.pi**n / math.factorial(n - 1)
     rho_max = _mode_u_max(t, n, 1e-12)

@@ -298,6 +298,7 @@ class TestParserReuse:
             [],
             ["-h"],
             ["nope"],
+            ["identity"],
             ["eval-ads", "--bogus"],
             ["eval-ads", "--t"],
             ["eval-maass", "-h"],
@@ -318,7 +319,7 @@ class TestParserReuse:
         [
             ["eval-ads", "--t", "1", "--grid", "theta=0,1", "--grid=t=1,2"],
             ["eval-maass", "--kappa=0.5", "--config", "run.cfg"],
-            ["identity", "--which", "theta"],
+            ["eval-hyperbolic", "--grid", "n=1,2", "--format", "json"],
             ["verify", "--timestamp"],
         ],
     )
@@ -690,64 +691,6 @@ class TestEvalAds:
         assert "1 of 3 rows failed" in err
 
 
-class TestIdentityCommand:
-    def test_both_families_default(self, capsys):
-        rc, out, _ = run_cli(capsys, ["identity"])
-        assert rc == 0
-        lines = out.splitlines()
-        assert lines[0] == (
-            "identity,m,t,u,theta,k_terms,re(lhs),im(lhs),re(rhs),im(rhs),abs_diff"
-        )
-        families = {line.split(",")[0] for line in lines[1:]}
-        assert families == {"gauss-cosh", "theta"}
-
-    def test_sides_agree(self, capsys):
-        rc, out, _ = run_cli(
-            capsys,
-            ["identity", "--grid", "m=0:12:13", "--grid", "u=0:5:11", "--k-max", "14"],
-        )
-        assert rc == 0
-        for line in out.splitlines()[1:]:
-            cells = line.split(",")
-            scale = max(1.0, abs(float(cells[8])))
-            assert float(cells[10]) / scale < 1e-9
-
-    @pytest.mark.parametrize("which", ["both", "gauss-cosh"])
-    def test_k_max_below_one_rejected(self, capsys, which):
-        rc, out, err = run_cli(capsys, ["identity", "--which", which, "--k-max", "0"])
-        assert rc == 2
-        assert "--k-max must be an integer >= 1" in err
-        assert out == ""
-
-    def test_json_rows_are_the_csv_rows(self, capsys):
-        rows = assert_json_rows_are_csv_rows(capsys, ["identity", "--grid", "m=0,3", "--grid", "u=0.5,2"])
-        assert [r["identity"] for r in rows] == ["gauss-cosh"] * 4 + ["theta"] * 2
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            # math.cosh(800) raised OverflowError: a traceback, exit 1
-            (["--which", "gauss-cosh", "--m", "3", "--u", "800"], "max(m, 1)*|u| <= 709, got m=3,"),
-            (["--which", "gauss-cosh", "--m", "12", "--u", "60"], "max(m, 1)*|u| <= 709, got m=12,"),
-            # printed -inf/inf with exit 0 and a RuntimeWarning
-            (["--which", "theta", "--t", "0.001", "--u", "5"], "out of double range"),
-        ],
-        ids=["gauss-cosh-u800", "gauss-cosh-m12-u60", "theta-t0.001"],
-    )
-    def test_outside_double_range_exits_2(self, capsys, argv, message):
-        rc, out, err = run_cli(capsys, ["identity"] + argv)
-        assert (rc, out) == (2, "")
-        assert message in err
-
-    def test_gauss_only_filter(self, capsys):
-        rc, out, _ = run_cli(capsys, ["identity", "--which", "gauss-cosh"])
-        assert rc == 0
-        assert all(
-            line.split(",")[0] == "gauss-cosh" for line in out.splitlines()[1:]
-        )
-
-
 class TestVerifyCommand:
     def test_report_matches_schema(self, capsys):
         rc, out, _ = run_cli(
@@ -892,7 +835,7 @@ class TestValueSources:
             (["eval-maass", "--abs-tol", "2"], None, "--abs-tol: abs_tol must be in (0, 1), got 2.0"),
             (["eval-maass"], "abs_tol = 2\n", "{cfg}: abs_tol: abs_tol must be in (0, 1), got 2.0"),
             (["eval-ads", "--rel-tol", "0"], None, "--rel-tol: rel_tol must be in (0, 1), got 0.0"),
-            (["eval-ads"], "max_nodes = 10\n", "{cfg}: max_nodes: max_nodes must be an int >= 60, got 10"),
+            (["eval-ads"], "max_nodes = 10\n", "{cfg}: max_nodes: max_nodes must be an integer >= 60, got 10"),
             (["eval-ads", "--eps-tail", "1.5"], None, "--eps-tail: eps_tail must be in (0, 1), got 1.5"),
         ],
         ids=["flag", "format flag", "grid value", "grid endpoint", "grid count", "config line",

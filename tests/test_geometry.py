@@ -56,6 +56,17 @@ class TestBallPoint:
         assert o.n == 3
         assert o.norm_sq == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1.5, 2.0, True])
+    @pytest.mark.parametrize(
+        "make",
+        [BallPoint.origin, lambda n: point_at_distance(0.5, n)],
+        ids=["origin", "point_at_distance"],
+    )
+    def test_dimension_must_be_an_integer(self, make, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            make(n)
+        assert make(np.int64(2)).n == 2
+
     def test_rejects_boundary_and_outside(self):
         with pytest.raises(ValueError):
             BallPoint((1.0,))

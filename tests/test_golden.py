@@ -52,7 +52,6 @@ INVOCATIONS: list[tuple[list[str], str | None]] = [
     # kappa at a time, then row by row; exit 3 with the 2 rows of kappa 0.5
     (["eval-maass", "--t", "1", "--grid", "kappa=0.5,6.5,7", "--grid", "d=0.5,1"], None),
     (["eval-ads", "--t", "0.8", "--d", "0.5", "--grid", "theta=0,1", "--format", "json"], None),
-    (["identity"], None),
     (["verify", "--suite", "subordination,semigroup,normalization", "--seed", "42"], None),
     (["verify", "--suite", "radial-pde"], None),
     (["verify", "--suite", "maass-pde"], None),

@@ -28,8 +28,6 @@ from adsheat.kernels import (
     maass_direct_profile,
     maass_kernel_substituted,
     maass_radial_profile,
-    theta_identity_lhs,
-    theta_identity_rhs,
 )
 from adsheat.quadrature import ConvergenceError, QuadratureConfig, gauss_legendre_rule
 from adsheat.radial_heat import hyperbolic_heat_kernel
@@ -42,8 +40,6 @@ ORACLE_V_1_1_0_0 = 2.3122264071497805365e-2
 ORACLE_V_1_1_1_05 = 2.6594274373114986646e-1
 ORACLE_V_05_2_HALF_1 = 1.7625142470743216315e-3
 ORACLE_S_1_1_03_07 = 4.5471085325594677283e-2
-ORACLE_THETA_1_0_0_K10 = 1.0001034463724076389
-ORACLE_THETA_07_05_1_K12 = 0.71672817547410552305 - 0.26740036940802044591j
 
 
 def pair_at(d: float, n: int = 1) -> tuple[BallPoint, BallPoint]:
@@ -737,52 +733,3 @@ def _ads_reference(t: float, d: float, theta: float) -> float:
             )
             total += 2 * mp.exp(-theta_k**2 / (4 * t_mp)) * transform
         return float(total / mp.sqrt(4 * mp.pi * t_mp))
-
-
-class TestThetaIdentity:
-    def test_frozen_symmetric_point(self):
-        lhs = theta_identity_lhs(1.0, 0.0, 0.0, 10)
-        rhs = theta_identity_rhs(1.0, 0.0, 0.0, 10)
-        assert lhs.imag == pytest.approx(0.0, abs=1e-16)
-        assert lhs.real == pytest.approx(ORACLE_THETA_1_0_0_K10, rel=1e-14)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-    def test_frozen_generic_point(self):
-        lhs = theta_identity_lhs(0.7, 0.5, 1.0, 12)
-        rhs = theta_identity_rhs(0.7, 0.5, 1.0, 12)
-        assert lhs == pytest.approx(ORACLE_THETA_07_05_1_K12, rel=1e-13)
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_period_shift_reindexes(self):
-        # theta -> theta + 2 pi shifts the copy index; at K = 15 the two
-        # boundary terms that differ are ~e^{-(2K pi)^2/4t}
-        a = theta_identity_lhs(1.0, 0.4, 0.3, 15)
-        b = theta_identity_lhs(1.0, 0.4, 0.3 + TWO_PI, 15)
-        assert abs(a - b) <= 1e-12 * abs(a)
-
-    def test_k_terms_validation(self):
-        with pytest.raises(ValueError):
-            theta_identity_lhs(1.0, 0.0, 0.0, -1)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "side, args",
-        [
-            (theta_identity_lhs, (0.001, 5.0, 0.7, 12)),  # (u^2 - theta^2)/(4t) = 6127.5
-            (theta_identity_lhs, (1e-310, 1.0, 0.3, 12)),  # the exponent itself overflows
-            (theta_identity_lhs, (1.0, math.inf, 0.0, 3)),
-            (theta_identity_rhs, (1.0, 100.0, 0.7, 12)),  # -t k^2 + k u = 1056 at k = 12
-            (theta_identity_rhs, (1.0, 0.0, math.nan, 3)),
-        ],
-        ids=["lhs-t0.001-u5", "lhs-t1e-310", "lhs-u-inf", "rhs-u100", "rhs-theta-nan"],
-    )
-    def test_sum_out_of_double_range_raises(self, side, args):
-        # the sides returned inf or NaN with a RuntimeWarning
-        with pytest.raises(ValueError, match="out of double range"):
-            side(*args)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_sum_near_the_limit_stays_finite(self):
-        # peak exponents 676 and 564: huge but representable sums are not refused
-        for value in (theta_identity_lhs(1.0, 52.0, 0.0, 12), theta_identity_rhs(1.0, 59.0, 0.7, 12)):
-            assert math.isfinite(abs(value)) and abs(value) > 1e200

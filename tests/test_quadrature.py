@@ -359,6 +359,13 @@ class TestFixedRule:
         assert np.all(again[0] > 0.0) and np.all(again[1] > 0.0)
         assert float(np.sum(again[1])) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "n_panels, order", [(0, 15), (2.5, 15), (True, 15), (1, 1), (1, 15.0), (np.int64(2), True)]
+    )
+    def test_counts_must_be_integers(self, n_panels, order):
+        with pytest.raises(ValueError, match="must be an integer >="):
+            gauss_legendre_rule(0.0, 1.0, n_panels, order=order)
+
 
 class TestConfig:
     def test_validation(self):
@@ -368,6 +375,15 @@ class TestConfig:
             QuadratureConfig(max_nodes=10)
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=-1e-3)
+
+    @pytest.mark.parametrize("max_nodes", [59, 1000.0, True])
+    def test_max_nodes_must_be_an_integer(self, max_nodes):
+        with pytest.raises(ValueError, match="max_nodes must be an integer >= 60"):
+            QuadratureConfig(max_nodes=max_nodes)
+
+    def test_max_nodes_takes_a_numpy_integer_as_an_int(self):
+        cfg = QuadratureConfig(max_nodes=np.int64(1000))
+        assert type(cfg.max_nodes) is int and cfg == QuadratureConfig(max_nodes=1000)
 
     def test_defaults(self):
         cfg = QuadratureConfig()

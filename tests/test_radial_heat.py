@@ -153,9 +153,16 @@ class TestTermAlgebra:
         for n in range(8):
             assert counts[n] <= (n + 1) * (n + 2) // 2
 
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            millson_term_sum(-1)
+    @pytest.mark.parametrize("n", [-1, True, 1.0])
+    def test_rejects_other_than_an_integer_order(self, n):
+        millson_term_sum(1)  # a cached order must not answer for True or 1.0
+        with pytest.raises(ValueError, match="order must be an integer >= 0"):
+            millson_term_sum(n)
+
+    @pytest.mark.parametrize("power", [-1, True, 1.0])
+    def test_term_powers_must_be_integers(self, power):
+        with pytest.raises(ValueError, match="tpow must be an integer >= 0"):
+            GaussianTerm(power, 0, 0, 0, Fraction(1))
 
 
 class TestH3ClosedForm:

@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from adsheat.special import chebyshev_T, gauss_2f1_terminating, spectral_cosh_factor
+from adsheat.special import chebyshev_T, spectral_cosh_factor
 
 
 class TestChebyshev:
@@ -27,11 +25,13 @@ class TestChebyshev:
                 )
 
     def test_cosh_composition(self):
-        for m in range(8):
-            for u in (0.0, 0.5, 2.0):
-                assert chebyshev_T(m, math.cosh(u)) == pytest.approx(
-                    math.cosh(m * u), rel=1e-12
-                )
+        # z < -1 by parity: T_m(-cosh u) = (-1)^m cosh(m u)
+        for m in range(26):
+            for u in (0.0, 0.5, 2.0, 5.0):
+                for sign in (1.0, -1.0):
+                    assert chebyshev_T(m, sign * math.cosh(u)) == pytest.approx(
+                        sign**m * math.cosh(m * u), rel=1e-12
+                    )
 
     def test_degree_sequence_is_each_scalar_call(self):
         z = np.linspace(-2.0, 2.0, 7).reshape(1, 7)
@@ -66,53 +66,6 @@ class TestChebyshev:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             chebyshev_T(-1, 0.5)
-
-
-class TestTerminating2F1:
-    def test_degree_zero_is_one(self):
-        assert gauss_2f1_terminating(0, -3.7) == 1.0
-
-    def test_degree_one(self):
-        # 1 + (-m)(m)/(1/2) * x / 1 = 1 - 2x at m = 1
-        assert gauss_2f1_terminating(1, 0.25) == pytest.approx(0.5, rel=1e-15)
-
-    def test_value_past_double_range_is_a_value_error(self):
-        # 2^22 x^12 = 4.2e366: the exact sum exists, its float does not
-        with pytest.raises(ValueError, match="outside double range"):
-            gauss_2f1_terminating(12, -1e30)
-        assert gauss_2f1_terminating(12, -1e20) == pytest.approx(2.0**23 * 1e240, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-    def test_non_finite_argument_is_a_value_error(self, x):
-        with pytest.raises(ValueError, match="must be finite"):
-            gauss_2f1_terminating(3, x)
-
-    @given(
-        st.integers(min_value=0, max_value=25),
-        st.floats(min_value=0.0, max_value=5.0),
-    )
-    def test_cosh_identity(self, m, u):
-        # the argument (1 - cosh u)/2 makes the terminating series collapse
-        # to cosh(m u); the exact-rational accumulation keeps this true even
-        # where the raw terms cancel by ~1e14
-        value = gauss_2f1_terminating(m, (1.0 - math.cosh(u)) / 2.0)
-        expected = math.cosh(m * u)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    @given(
-        st.integers(min_value=0, max_value=20),
-        st.floats(min_value=-3.0, max_value=3.0),
-    )
-    def test_matches_chebyshev(self, m, z):
-        # T_m(z) = 2F1(-m, m; 1/2; (1-z)/2)
-        assert gauss_2f1_terminating(m, (1.0 - z) / 2.0) == pytest.approx(
-            chebyshev_T(m, z), rel=1e-11, abs=1e-11
-        )
-
-    def test_worst_cancellation_point(self):
-        # m = 25, u = 5: raw terms reach ~1e14 times the result
-        value = gauss_2f1_terminating(25, (1.0 - math.cosh(5.0)) / 2.0)
-        assert value == pytest.approx(math.cosh(125.0), rel=1e-12)
 
 
 class TestSpectralCoshFactor:

@@ -30,6 +30,11 @@ class TestSamples:
         c = random_negative_semidefinite(5, seed=8)
         assert not np.array_equal(a.matrix, c.matrix)
 
+    @pytest.mark.parametrize("dim", [0, 2.5, True])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            random_negative_semidefinite(dim)
+
     def test_sample_invariants(self):
         s = random_negative_semidefinite(6, seed=3)
         assert s.dim == 6
@@ -158,6 +163,11 @@ class TestNormalization:
     def test_unit_mass(self, t, n, tol):
         report = check_normalization_k0(t, n)
         assert report.max_abs_residual <= tol
+
+    @pytest.mark.parametrize("n", [0, 3, 1.0, True])
+    def test_rejects_other_dimensions(self, n):
+        with pytest.raises(ValueError, match="dimension parameter n must be an integer|supports n in"):
+            check_normalization_k0(1.0, n)
 
 
 class TestRadialPde:
