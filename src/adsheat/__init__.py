@@ -7,21 +7,16 @@ verification harness that recomputes every formula by an independent route.
 from .geometry import (
     BallPoint,
     FiberAngle,
+    bergman_pairing,
     hermitian_inner,
-    hyperbolic_distance,
-    phase_factor,
     point_at_distance,
+    twist_phase,
 )
 from .kernels import (
-    AdsKernelQuery,
     AdsSeriesResult,
-    MaassKernelQuery,
     SeriesConfig,
     ads_kernel_integral,
-    ads_kernel_series,
     ads_kernel_series_detail,
-    maass_kernel_direct,
-    maass_kernel_substituted,
     maass_direct_profile,
     maass_radial_profile,
 )
@@ -58,10 +53,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BallPoint",
     "FiberAngle",
+    "bergman_pairing",
     "hermitian_inner",
-    "hyperbolic_distance",
-    "phase_factor",
     "point_at_distance",
+    "twist_phase",
     "chebyshev_T",
     "spectral_cosh_factor",
     "GaussianTerm",
@@ -74,15 +69,10 @@ __all__ = [
     "IntegrationResult",
     "ConvergenceError",
     "adaptive_gauss_kronrod",
-    "MaassKernelQuery",
-    "AdsKernelQuery",
     "SeriesConfig",
     "AdsSeriesResult",
-    "maass_kernel_substituted",
-    "maass_kernel_direct",
     "maass_radial_profile",
     "maass_direct_profile",
-    "ads_kernel_series",
     "ads_kernel_series_detail",
     "ads_kernel_integral",
     "ResidualReport",

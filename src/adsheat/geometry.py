@@ -8,9 +8,10 @@ circle bundle is parametrized by an angle theta, stored canonically in
 ``[0, 2*pi)``.
 
 The quantities every kernel in this package consumes are computed here:
-the Hermitian pairing of two ball points, the Bergman hyperbolic distance
-and twist angle of a pair (formed together, for ball points and arrays of
-points alike), and the unimodular twist factor of a half-integer spin weight.
+the Bergman hyperbolic distance and twist angle of a pair (formed together
+by :func:`bergman_pairing`, for ball points and arrays of points alike) and
+the unimodular twist factor of a half-integer spin weight.
+:func:`hermitian_inner` gives the pairing <w, y> itself.
 """
 
 from __future__ import annotations
@@ -181,34 +182,11 @@ def bergman_pairing(w, y) -> tuple[np.ndarray, np.ndarray]:
     return d, np.arctan2(z_im, z_re)
 
 
-def hyperbolic_distance(w: BallPoint, y: BallPoint) -> float:
-    """Bergman hyperbolic distance between two ball points (see :func:`bergman_pairing`).
-
-    For n = 1 this is the curvature -4 Poincare distance: arctanh|y| from the origin.
-    """
-    return float(bergman_pairing(w.coords, y.coords)[0])
-
-
-def twist_angle(w: BallPoint, y: BallPoint) -> float:
-    """``Arg(1 - <w,y>)``, the angle by which the pair twists the fiber.
-
-    ``Re(1 - <w,y>) > 0`` on the ball, so the angle lies in ``(-pi/2, pi/2)``.
-    """
-    return float(bergman_pairing(w.coords, y.coords)[1])
-
-
-def phase_factor(w: BallPoint, y: BallPoint, kappa: float) -> complex:
-    """Unimodular twist attached to spin weight ``kappa``.
-
-    Equals ``((1 - <w,y>) / (1 - <y,w>))^(-kappa)`` evaluated through the
-    principal argument: ``exp(-2i * kappa * Arg(1 - <w,y>))``.  The
-    argument lies in ``(-pi/2, pi/2)`` (see :func:`twist_angle`), so the
-    half-integer power is single valued.
-    """
-    return complex(twist_phase(twist_angle(w, y), kappa))
-
-
 def twist_phase(twist, kappa: float):
     """``exp(-2i * kappa * twist)``, elementwise: the factor of spin weight
-    ``kappa`` for pairs of the given twist (see :func:`bergman_pairing`)."""
+    ``kappa`` for pairs of the given twist (see :func:`bergman_pairing`).
+
+    This is ``((1 - <w,y>) / (1 - <y,w>))^(-kappa)`` through the principal
+    argument; the twist lies in (-pi/2, pi/2), so the power is single valued.
+    """
     return np.exp(-2j * require_half_integer(kappa) * twist)

@@ -3,10 +3,9 @@
 Three kernels are evaluated here.
 
 * The spin-weighted (generalized Maass) heat kernel on the ball,
-  ``v_{t,n,kappa}(w, y) = phase * V(d)`` (d the Bergman distance, phase
-  from :func:`adsheat.geometry.phase_factor`), by two independent routes
-  to V, each batched over (kappa, d) rows, at most 512 a block
-  (``maass_kernel_*`` take one query):
+  ``v_{t,n,kappa}(w, y) = twist_phase(twist, kappa) * V(d)`` (d and the
+  twist from :func:`adsheat.geometry.bergman_pairing`), by two independent
+  routes to V, each batched over (kappa, d) rows, at most 512 a block:
 
   - :func:`maass_radial_profile`: ``2 int_0^inf q_t(x(u)) cosh(2 kappa u)
     du`` with x(u) = arccosh(cosh u * cosh d); smooth everywhere, including
@@ -27,7 +26,8 @@ Three kernels are evaluated here.
   q_t(x(u)) du`` stated at base point w = 0, evaluated as one real cosine
   transform per copy.  The integral form equals the series divided by
   2 pi; their agreement is the central cross-check of this package.  Both
-  take (t, n, d, theta, configs); :func:`ads_kernel_series` pairs ball points.
+  take (t, n, d, theta, configs); a pair (w, y) enters as its distance d,
+  with theta moved by its twist.
 
 Numerical strategy: every integrand that pairs the Gaussian core of q_t
 with exponential growth (cosh modes, the shifted-Gaussian envelope) is
@@ -51,14 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    BallPoint,
-    FiberAngle,
-    bergman_pairing,
-    require_half_integer,
-    require_int,
-    twist_phase,
-)
+from .geometry import FiberAngle, require_half_integer, require_int
 from .quadrature import (
     _CALL_ROWS,
     ConvergenceError,
@@ -74,15 +67,10 @@ from .radial_heat import (
 from .special import spectral_cosh_factor
 
 __all__ = [
-    "MaassKernelQuery",
-    "AdsKernelQuery",
     "SeriesConfig",
     "AdsSeriesResult",
-    "maass_kernel_substituted",
-    "maass_kernel_direct",
     "maass_radial_profile",
     "maass_direct_profile",
-    "ads_kernel_series",
     "ads_kernel_series_detail",
     "ads_kernel_integral",
 ]
@@ -115,49 +103,6 @@ def _labelled(exc: ConvergenceError, label: str) -> ConvergenceError:
     return ConvergenceError(f"{label}: {exc}", value=exc.value, error_estimate=exc.error_estimate)
 
 
-def _validate_query(query) -> None:
-    """Coerce and check the (t, n, w, y) fields every kernel query carries."""
-    object.__setattr__(query, "t", _validate_t(query.t))
-    object.__setattr__(query, "n", _validate_n(query.n))
-    if not isinstance(query.w, BallPoint) or not isinstance(query.y, BallPoint):
-        raise ValueError("w and y must be BallPoint instances")
-    if query.w.n != query.n or query.y.n != query.n:
-        raise ValueError(
-            f"points have dimension {query.w.n}/{query.y.n}, query says n={query.n}"
-        )
-
-
-@dataclass(frozen=True)
-class MaassKernelQuery:
-    """Arguments (t, n, kappa, w, y) of the spin-weighted ball kernel."""
-
-    t: float
-    n: int
-    kappa: float
-    w: BallPoint
-    y: BallPoint
-
-    def __post_init__(self) -> None:
-        _validate_query(self)
-        object.__setattr__(self, "kappa", require_half_integer(self.kappa))
-
-
-@dataclass(frozen=True)
-class AdsKernelQuery:
-    """Arguments (t, n, w, y, theta) of the fibered subelliptic kernel."""
-
-    t: float
-    n: int
-    w: BallPoint
-    y: BallPoint
-    theta: FiberAngle
-
-    def __post_init__(self) -> None:
-        _validate_query(self)
-        if not isinstance(self.theta, FiberAngle):
-            object.__setattr__(self, "theta", FiberAngle(self.theta))
-
-
 @dataclass(frozen=True)
 class SeriesConfig:
     """Truncation control for the fiber-mode series.
@@ -188,7 +133,7 @@ class AdsSeriesResult:
     ``damped_modes`` are the angle-free ``e^{-t k^2} V_k(d)``, k = 0..modes_used.
     """
 
-    value: complex
+    value: float
     modes_used: int
     tail_estimate: float
     damped_modes: tuple[float, ...]
@@ -198,8 +143,7 @@ class AdsSeriesResult:
         total = self.damped_modes[0]
         for k, mode in enumerate(self.damped_modes[1:], 1):
             total += 2.0 * math.cos(k * theta_eff) * mode
-        value = complex(total, 0.0)
-        return AdsSeriesResult(value, self.modes_used, self.tail_estimate, self.damped_modes)
+        return AdsSeriesResult(total, self.modes_used, self.tail_estimate, self.damped_modes)
 
 
 def _mode_u_max(t: float, m: int, abs_tol: float) -> float:
@@ -353,8 +297,9 @@ def maass_radial_profile(
 ) -> np.ndarray:
     """Radial factor V(d) of the kernel, batched over weights and distances.
 
-    ``v_{t,n,kappa}(w,y) = phase_factor(w,y,kappa) * V(hyperbolic_distance
-    (w,y))``; this evaluates V = 2 int_0^inf q_t(x(u)) cosh(2 kappa u) du for
+    ``v_{t,n,kappa}(w,y) = twist_phase(twist, kappa) * V(d)`` for a pair of
+    distance d and twist from :func:`adsheat.geometry.bergman_pairing`; this
+    evaluates V = 2 int_0^inf q_t(x(u)) cosh(2 kappa u) du for
     a half-integer ``kappa`` or a 1-D array of them, on an array of
     distances (each < 700): shape kappa.shape + d.shape.  Every (kappa, d)
     row of a block of at most 512 rows shares one vector quadrature, its
@@ -382,32 +327,6 @@ def maass_direct_profile(
     return _profile(_direct_integral, t, n, kappa, d_values, config)
 
 
-def maass_kernel_substituted(
-    query: MaassKernelQuery, config: QuadratureConfig | None = None
-) -> complex:
-    """Spin-weighted ball heat kernel via the cosh-product substitution.
-
-    ``phase_factor(w, y, kappa) * V(d)`` with V from
-    :func:`maass_radial_profile`, at the tolerances of :class:`QuadratureConfig`.
-    """
-    d, twist = bergman_pairing(query.w.coords, query.y.coords)
-    v = maass_radial_profile(query.t, query.n, query.kappa, d, config or QuadratureConfig())
-    return complex(twist_phase(twist, query.kappa)) * v
-
-
-def maass_kernel_direct(
-    query: MaassKernelQuery, config: QuadratureConfig | None = None
-) -> complex:
-    """Spin-weighted ball heat kernel straight from its integral formula.
-
-    As :func:`maass_kernel_substituted`, with V from :func:`maass_direct_profile`:
-    the two routes share nothing past q_t, so their agreement validates both.
-    """
-    d, twist = bergman_pairing(query.w.coords, query.y.coords)
-    v = maass_direct_profile(query.t, query.n, query.kappa, d, config or QuadratureConfig())
-    return complex(twist_phase(twist, query.kappa)) * v
-
-
 def _baseline_mode_count(t: float, eps_tail: float) -> int:
     """Floor on the number of fiber modes: the K with e^{-t K^2} < eps_tail, plus 2.
 
@@ -431,7 +350,8 @@ def ads_kernel_series_detail(
 
     Computes ``sum_k e^{-t k^2} V_k(d) e^{-ik theta}`` at distance 0 <= d <
     700 and effective fiber angle ``theta``, used as given: a pair (w, y)
-    moves the fiber angle by Arg(1 - <w,y>) (see :func:`ads_kernel_series`).
+    moves the fiber angle by its twist Arg(1 - <w,y>) (see
+    :func:`adsheat.geometry.bergman_pairing`).
     Conjugate modes pair to ``2 cos(k theta) e^{-t k^2} V_k(d)`` with V_k
     real, so the sum is real (the kernel of a real operator).  No damped
     mode depends on theta: :meth:`AdsSeriesResult.at_angle` re-sums them.
@@ -485,7 +405,7 @@ def ads_kernel_series_detail(
             raise ConvergenceError(
                 f"fiber-mode series not converged after {MAX_FIBER_MODES} modes "
                 f"(last damped pair {2.0 * abs(modes[-1]):.3e} vs eps_tail {eps:.3e})",
-                value=AdsSeriesResult(0j, k_cap, 0.0, tuple(modes)).at_angle(theta_eff).value,
+                value=AdsSeriesResult(0.0, k_cap, 0.0, tuple(modes)).at_angle(theta_eff).value,
                 error_estimate=2.0 * abs(modes[-1]),
             )
         hi = min(k_cap, 2 * hi)
@@ -494,19 +414,7 @@ def ads_kernel_series_detail(
     modes = modes[: k + 1]
     ratio = math.exp(-2.0 * n * t)
     tail = 2.0 * abs(modes[k]) * ratio / (1.0 - ratio) if k else 0.0
-    return AdsSeriesResult(0j, k, tail, tuple(modes)).at_angle(theta_eff)
-
-
-def ads_kernel_series(
-    query: AdsKernelQuery,
-    series_config: SeriesConfig | None = None,
-    quad_config: QuadratureConfig | None = None,
-) -> complex:
-    """Fiber-mode series value at a point pair, paired once for its distance and
-    twist; see :func:`ads_kernel_series_detail`."""
-    d, twist = bergman_pairing(query.w.coords, query.y.coords)
-    theta = query.theta.theta + float(twist)
-    return ads_kernel_series_detail(query.t, query.n, d, theta, series_config, quad_config).value
+    return AdsSeriesResult(0.0, k, tail, tuple(modes)).at_angle(theta_eff)
 
 
 def ads_kernel_integral(
@@ -536,7 +444,6 @@ def ads_kernel_integral(
     t = _validate_t(t)
     n = _validate_n(n)
     d = float(_validate_distances(d))
-    theta = getattr(theta, "theta", theta)  # a FiberAngle's angle
     angles = np.array([FiberAngle(a).theta for a in np.atleast_1d(theta).tolist()])
     s_cfg = series_config or SeriesConfig()
     q_cfg = quad_config or QuadratureConfig()

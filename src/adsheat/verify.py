@@ -398,14 +398,17 @@ def run_default_suite(
     """Run the named check suites and grade each against its threshold.
 
     Suites run in the order given, each once, at its first position; a name
-    outside :data:`DEFAULT_SUITES` raises ``ValueError``, as does a ``seed``
-    that is not an integer >= 0, whatever the suites.  Deterministic given
+    outside :data:`DEFAULT_SUITES` raises ``ValueError``, as do a bare string
+    in place of the sequence and a ``seed`` that is not an integer >= 0,
+    whatever the suites.  Deterministic given
     ``seed`` (used only by the subordination samples).  Thresholds
     are the acceptance-level ones: spin-weighted PDE 1e-3 relative, radial
     PDE 1e-4 relative, subordination 1e-8 spectral-norm, semigroup 1e-3
     relative, mass 1e-6 (n = 1) / 1e-5 (n = 2).
     """
     seed = require_int(seed, "seed", 0)
+    if isinstance(suites, str):
+        raise ValueError(f"suites must be a sequence of suite names, got the string {suites!r}")
     unknown = sorted(set(suites) - set(DEFAULT_SUITES))
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {', '.join(DEFAULT_SUITES)}")

@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from adsheat import verify
-from adsheat.geometry import BallPoint, point_at_distance
+from adsheat.geometry import BallPoint, bergman_pairing, point_at_distance, twist_phase
 from adsheat.kernels import (
-    MaassKernelQuery,
     ads_kernel_integral,
     ads_kernel_series_detail,
-    maass_kernel_direct,
-    maass_kernel_substituted,
+    maass_direct_profile,
     maass_radial_profile,
 )
 from adsheat.quadrature import QuadratureConfig, adaptive_gauss_kronrod
@@ -100,18 +98,19 @@ def test_criterion_04_hyperbolic_mass():
 def test_criterion_05_maass_route_equivalence():
     start = time.perf_counter()
     worst_ratio = 0.0
+    kappas, cfg = [0.0, 0.5, 1.0], QuadratureConfig()
     for t in (0.5, 1.0, 2.0):
-        for kappa in (0.0, 0.5, 1.0):
-            for d in (0.3, 1.0, 2.0):
-                for n in (1, 2):
-                    w, y = point_at_distance(d, n), BallPoint.origin(n)
-                    query = MaassKernelQuery(t, n, kappa, w, y)
-                    direct = maass_kernel_direct(query)
-                    substituted = maass_kernel_substituted(query)
-                    allowed = max(1e-8, 1e-6 * abs(substituted))
-                    worst_ratio = max(
-                        worst_ratio, abs(direct - substituted) / allowed
-                    )
+        for n in (1, 2):
+            # the 9 (kappa, point pair) points of one (t, n), one batch per route
+            pairs = [(point_at_distance(d, n), BallPoint.origin(n)) for d in (0.3, 1.0, 2.0)]
+            w = [np.array([p.coords[i] for p, _ in pairs]) for i in range(n)]
+            y = [np.array([q.coords[i] for _, q in pairs]) for i in range(n)]
+            d, twist = bergman_pairing(w, y)
+            phase = np.array([twist_phase(twist, kappa) for kappa in kappas])
+            direct = phase * maass_direct_profile(t, n, kappas, d, cfg)
+            substituted = phase * maass_radial_profile(t, n, kappas, d, cfg)
+            allowed = np.maximum(1e-8, 1e-6 * np.abs(substituted))
+            worst_ratio = max(worst_ratio, float(np.max(np.abs(direct - substituted) / allowed)))
     # metric normalized so tolerance is 1: each point's budget is
     # max(1e-8, 1e-6 |value|)
     _grade(

@@ -11,14 +11,20 @@ from adsheat.geometry import (
     FiberAngle,
     bergman_pairing,
     hermitian_inner,
-    hyperbolic_distance,
-    phase_factor,
     point_at_distance,
     require_half_integer,
-    twist_angle,
+    twist_phase,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def distance(a: BallPoint, b: BallPoint) -> float:
+    return float(bergman_pairing(a.coords, b.coords)[0])
+
+
+def twist(a: BallPoint, b: BallPoint) -> float:
+    return float(bergman_pairing(a.coords, b.coords)[1])
 
 
 def distance_40_digits(mpmath, a: BallPoint, b: BallPoint) -> float:
@@ -84,7 +90,7 @@ class TestBallPoint:
     def test_point_at_distance_inverts_distance(self):
         for d in (0.0, 0.3, 1.0, 2.5):
             w = point_at_distance(d, 2)
-            assert hyperbolic_distance(w, BallPoint.origin(2)) == pytest.approx(
+            assert distance(w, BallPoint.origin(2)) == pytest.approx(
                 d, abs=1e-13
             )
 
@@ -100,23 +106,23 @@ class TestDistance:
         a, b = 1.1, 0.4
         w = BallPoint((math.tanh(a),))
         y = BallPoint((math.tanh(b),))
-        assert hyperbolic_distance(w, y) == pytest.approx(a - b, rel=1e-12)
+        assert distance(w, y) == pytest.approx(a - b, rel=1e-12)
 
     def test_diagonal_is_zero(self):
         w = BallPoint((0.3 + 0.2j, -0.1j))
-        assert hyperbolic_distance(w, w) == 0.0
+        assert distance(w, w) == 0.0
 
     def test_unitary_rotation_invariance(self):
         w = point_at_distance(0.9)
         rotated = BallPoint((w.coords[0] * cmath.exp(0.6j),))
-        assert hyperbolic_distance(rotated, BallPoint.origin(1)) == pytest.approx(
+        assert distance(rotated, BallPoint.origin(1)) == pytest.approx(
             0.9, abs=1e-13
         )
 
     @pytest.mark.parametrize("d", np.geomspace(1e-10, 5.0, 41).tolist(), ids="{:.2e}".format)
     def test_point_at_distance_round_trip_keeps_its_digits(self, d):
         # a few ulps of d, plus what the rounding of tanh d itself moves atanh by
-        got = hyperbolic_distance(point_at_distance(d), BallPoint.origin(1))
+        got = distance(point_at_distance(d), BallPoint.origin(1))
         allowed = 4.0 * math.ulp(d) + math.ulp(math.tanh(d)) * math.cosh(d) ** 2
         assert abs(got - d) <= allowed
 
@@ -130,7 +136,7 @@ class TestDistance:
             y = w + gap * (rng.normal(size=n) + 1j * rng.normal(size=n))
             a, b = BallPoint(tuple(w)), BallPoint(tuple(y))
             exact = distance_40_digits(mpmath, a, b)
-            assert hyperbolic_distance(a, b) == pytest.approx(exact, rel=4e-15)
+            assert distance(a, b) == pytest.approx(exact, rel=4e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_far_pairs_against_a_40_digit_reference(self, n):
@@ -149,27 +155,27 @@ class TestDistance:
             a, b = BallPoint(tuple(w)), BallPoint(tuple(y))
             exact = distance_40_digits(mpmath, a, b)
             allowed = 4e-16 * n * (1.0 / (1.0 - a.norm_sq) + 1.0 / (1.0 - b.norm_sq))
-            assert abs(hyperbolic_distance(a, b) - exact) <= allowed + 4.0 * math.ulp(exact)
+            assert abs(distance(a, b) - exact) <= allowed + 4.0 * math.ulp(exact)
 
     def test_pair_too_far_for_tanh_takes_acosh(self):
         # tanh of the distance rounds to 1 here, so atanh cannot give it
         edge = 1.0 - 2.0**-53
-        far = hyperbolic_distance(BallPoint((-edge,)), BallPoint((edge,)))
+        far = distance(BallPoint((-edge,)), BallPoint((edge,)))
         assert far == pytest.approx(2.0 * math.atanh(edge), rel=1e-12)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            hyperbolic_distance(BallPoint.origin(1), BallPoint.origin(2))
+            distance(BallPoint.origin(1), BallPoint.origin(2))
 
     @given(ball_points(2), ball_points(2))
     def test_symmetry_and_lower_bound(self, w, y):
-        d = hyperbolic_distance(w, y)
+        d = distance(w, y)
         assert d >= 0.0
-        assert hyperbolic_distance(y, w) == pytest.approx(d, rel=1e-12)
+        assert distance(y, w) == pytest.approx(d, rel=1e-12)
 
     @given(ball_points(1))
     def test_self_distance_vanishes(self, w):
-        assert hyperbolic_distance(w, w) == 0.0
+        assert distance(w, w) == 0.0
         assert bergman_pairing((np.array([w.coords[0]]),), w.coords)[0][0] == 0.0
 
     @given(
@@ -183,13 +189,13 @@ class TestDistance:
         n = pairs[0][0].n
         w = [np.array([p.coords[i] for p, _ in pairs]) for i in range(n)]
         y = [np.array([q.coords[i] for _, q in pairs]) for i in range(n)]
-        d, twist = bergman_pairing(w, y)
-        assert d.tolist() == [hyperbolic_distance(p, q) for p, q in pairs]
-        assert twist.tolist() == [twist_angle(p, q) for p, q in pairs]
+        d, angle = bergman_pairing(w, y)
+        assert d.tolist() == [distance(p, q) for p, q in pairs]
+        assert angle.tolist() == [twist(p, q) for p, q in pairs]
         y0 = pairs[0][1]
-        d, twist = bergman_pairing(w, y0.coords)
-        assert d.tolist() == [hyperbolic_distance(p, y0) for p, _ in pairs]
-        assert twist.tolist() == [twist_angle(p, y0) for p, _ in pairs]
+        d, angle = bergman_pairing(w, y0.coords)
+        assert d.tolist() == [distance(p, y0) for p, _ in pairs]
+        assert angle.tolist() == [twist(p, y0) for p, _ in pairs]
 
     def test_array_form_keeps_the_digits_of_close_disc_pairs(self):
         # acosh(sqrt(cosh^2)) put the first pair 3.5e-3 off
@@ -223,37 +229,37 @@ class TestHermitianInner:
         assert hermitian_inner(w, y) == pytest.approx(expected, rel=1e-15)
 
 
-class TestPhaseFactor:
+class TestTwistPhase:
     @given(ball_points(2), ball_points(2), st.integers(min_value=-4, max_value=4))
     def test_unit_modulus(self, w, y, two_kappa):
         kappa = two_kappa / 2.0
-        assert abs(phase_factor(w, y, kappa)) == pytest.approx(1.0, rel=1e-14)
+        assert abs(twist_phase(twist(w, y), kappa)) == pytest.approx(1.0, rel=1e-14)
 
     @given(ball_points(2), ball_points(2), st.integers(min_value=-4, max_value=4))
-    def test_twist_angle_reproduces_phase(self, w, y, two_kappa):
-        angle = twist_angle(w, y)
+    def test_twist_reproduces_phase(self, w, y, two_kappa):
+        angle = twist(w, y)
         assert angle == pytest.approx(cmath.phase(1.0 - hermitian_inner(w, y)), abs=1e-15)
         assert abs(angle) < math.pi / 2.0
         expected = cmath.exp(-1j * two_kappa * angle)
-        assert phase_factor(w, y, two_kappa / 2.0) == pytest.approx(expected, abs=1e-15)
+        assert twist_phase(angle, two_kappa / 2.0) == pytest.approx(expected, abs=1e-15)
 
     def test_weight_zero_is_one(self):
         w = BallPoint((0.3 + 0.4j,))
         y = BallPoint((0.2j,))
-        assert phase_factor(w, y, 0.0) == 1.0 + 0.0j
+        assert twist_phase(twist(w, y), 0.0) == 1.0 + 0.0j
 
     @given(ball_points(2), ball_points(2))
     def test_swap_conjugates(self, w, y):
         # 1 - <w,y> = conj(1 - <y,w>), so swapping the points conjugates
         # the twist; this is what makes the kernel hermitian
-        lhs = phase_factor(w, y, 1.0)
-        rhs = phase_factor(y, w, 1.0).conjugate()
+        lhs = twist_phase(twist(w, y), 1.0)
+        rhs = twist_phase(twist(y, w), 1.0).conjugate()
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_real_configuration_has_no_twist(self):
         w = BallPoint((0.5,))
         y = BallPoint((0.2,))
-        assert phase_factor(w, y, 1.5) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert twist_phase(twist(w, y), 1.5) == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
 
 class TestFiberAngle:

@@ -245,6 +245,12 @@ class TestSuiteRunner:
         with pytest.raises(ValueError, match=r"unknown suite\(s\) \['nonsense'\]; choose from "):
             run_default_suite(("nonsense",))
 
+    @pytest.mark.parametrize("suites", ["maass-pde", "", "nonsense"])
+    def test_bare_string_rejected(self, suites):
+        # a string iterates by character: "maass-pde" read as suites ['-', 'a', ...]
+        with pytest.raises(ValueError, match="suites must be a sequence of suite names"):
+            run_default_suite(suites)
+
     def test_single_suite_rows(self):
         rows = run_default_suite(("subordination",))
         assert len(rows) == 2
